@@ -268,7 +268,7 @@ void BM_ProbeChainedWide(benchmark::State& state) {
     const uint32_t b =
         table.BucketOf(MurmurHash2x8(data::PackKeyPair(lo, hi)));
     const int32_t node =
-        table.FindOrAddKeyWide(b, lo, hi, simcl::DeviceId::kCpu, 0, &work);
+        table.FindOrAdd<true>(b, lo, hi, simcl::DeviceId::kCpu, 0, &work);
     table.InsertRid(node, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
   }
   const WideProbeBatch batch = MakeWideProbeBatch();
@@ -276,8 +276,8 @@ void BM_ProbeChainedWide(benchmark::State& state) {
     uint64_t found = 0;
     for (uint32_t i = 0; i < kLayoutProbeBatch; ++i) {
       uint32_t work = 0;
-      found += table.FindKeyWide(table.BucketOf(batch.hash[i]), batch.lo[i],
-                                 batch.hi[i], &work) != join::kNil;
+      found += table.Find<true>(table.BucketOf(batch.hash[i]), batch.lo[i],
+                                batch.hi[i], &work) != join::kNil;
     }
     benchmark::DoNotOptimize(found);
   }
@@ -296,9 +296,9 @@ void BM_ProbeOpenAddressingWide(benchmark::State& state) {
     uint32_t work = 0;
     const int32_t lo = static_cast<int32_t>(k & 0xffff);
     const int32_t hi = static_cast<int32_t>(k);
-    const int32_t slot = table.FindOrAddKeyWide(
+    const int32_t slot = table.FindOrAdd<true>(
         table.BucketOf(MurmurHash2x8(data::PackKeyPair(lo, hi))), lo, hi,
-        &work);
+        simcl::DeviceId::kCpu, 0, &work);
     table.InsertRid(slot, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
   }
   const WideProbeBatch batch = MakeWideProbeBatch();
@@ -311,8 +311,8 @@ void BM_ProbeOpenAddressingWide(benchmark::State& state) {
     for (uint32_t i = 0; i < kLayoutProbeBatch; ++i) {
       if (i + 16 < kLayoutProbeBatch) table.PrefetchBucket(buckets[i + 16]);
       uint32_t work = 0;
-      found += table.FindKeyWide(buckets[i], batch.lo[i], batch.hi[i],
-                                 &work) != join::kNil;
+      found += table.Find<true>(buckets[i], batch.lo[i], batch.hi[i],
+                                &work) != join::kNil;
     }
     benchmark::DoNotOptimize(found);
   }

@@ -77,25 +77,38 @@ HashTable::HashTable(uint32_t num_buckets, NodePools* pools)
   for (auto& c : count_) c.store(0, std::memory_order_relaxed);
 }
 
-int32_t HashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
+bool HashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
   Touch(&head_[bucket]);
   if (count != nullptr) {
     *count = count_[bucket].load(std::memory_order_relaxed);
   }
-  return head_[bucket].load(std::memory_order_acquire);
+  // acquire: pairs with the inserter's acq_rel head CAS.
+  return head_[bucket].load(std::memory_order_acquire) != kNil;
 }
 
-int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
-                                simcl::DeviceId dev, uint32_t workgroup,
-                                uint32_t* work) {
+template <bool kWide>
+bool HashTable::KeyAt(int32_t node, int32_t lo, int32_t hi) const {
+  Touch(&pools_->key_value[node]);
+  // lo first (the 64-bit-hash word for dict-strings), hi second (the
+  // dictionary code) — the hash-first/compare-second probe contract.
+  if constexpr (kWide) {
+    return pools_->key_value[node] == lo && pools_->key_value_hi[node] == hi;
+  } else {
+    return pools_->key_value[node] == lo;
+  }
+}
+
+template <bool kWide>
+int32_t HashTable::FindOrAdd(uint32_t bucket, int32_t lo, int32_t hi,
+                             simcl::DeviceId dev, uint32_t workgroup,
+                             uint32_t* work) {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   while (true) {
     int32_t node = head_[bucket].load(std::memory_order_acquire);
     const int32_t first = node;
     while (node != kNil) {
-      Touch(&pools_->key_value[node]);
-      if (pools_->key_value[node] == key) {
+      if (KeyAt<kWide>(node, lo, hi)) {
         *work += traversed;
         return node;
       }
@@ -108,12 +121,15 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
       *work += traversed;
       return kNil;
     }
-    pools_->key_value[ni] = key;
+    pools_->key_value[ni] = lo;
+    if constexpr (kWide) pools_->key_value_hi[ni] = hi;
+    // relaxed: both stores happen-before the publishing CAS below, whose
+    // release side makes them visible to acquire-readers of the head.
     pools_->rid_head[ni].store(kNil, std::memory_order_relaxed);
     pools_->key_next[ni].store(first, std::memory_order_relaxed);
     Touch(&pools_->key_value[ni]);
     int32_t expected = first;
-    // acq_rel: release publishes the new node's fields (key_value,
+    // acq_rel: release publishes the new node's fields (key words,
     // key_next, rid_head above) to any thread that acquire-loads the
     // head; acquire orders our re-scan when we lose the race.
     if (head_[bucket].compare_exchange_strong(expected, ni,
@@ -129,50 +145,33 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
   }
 }
 
-int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
-                                    int32_t key_hi, simcl::DeviceId dev,
-                                    uint32_t workgroup, uint32_t* work) {
+template <bool kWide>
+int32_t HashTable::Find(uint32_t bucket, int32_t lo, int32_t hi,
+                        uint32_t* work) const {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
-  while (true) {
-    int32_t node = head_[bucket].load(std::memory_order_acquire);
-    const int32_t first = node;
-    while (node != kNil) {
-      Touch(&pools_->key_value[node]);
-      // lo first (the 64-bit-hash word for dict-strings), hi second (the
-      // dictionary code) — the hash-first/compare-second probe contract.
-      if (pools_->key_value[node] == key_lo &&
-          pools_->key_value_hi[node] == key_hi) {
-        *work += traversed;
-        return node;
-      }
-      ++traversed;
-      node = pools_->key_next[node].load(std::memory_order_acquire);
-    }
-    // Not found: allocate a node and push it at the head.
-    const int32_t ni = pools_->AllocKey(dev, workgroup);
-    if (ni == kNil) {
-      *work += traversed;
-      return kNil;
-    }
-    pools_->key_value[ni] = key_lo;
-    pools_->key_value_hi[ni] = key_hi;
-    // relaxed: both stores happen-before the publishing CAS below, whose
-    // release side makes them visible to acquire-readers of the head.
-    pools_->rid_head[ni].store(kNil, std::memory_order_relaxed);
-    pools_->key_next[ni].store(first, std::memory_order_relaxed);
-    Touch(&pools_->key_value[ni]);
-    int32_t expected = first;
-    // acq_rel: same publication contract as the narrow FindOrAddKey.
-    if (head_[bucket].compare_exchange_strong(expected, ni,
-                                              std::memory_order_acq_rel)) {
-      keys_inserted_.fetch_add(1, std::memory_order_relaxed);
-      *work += traversed;
-      return ni;
-    }
-    // Lost the race: re-scan; the allocated node leaks into the arena.
+  // acquire (head and next): pairs with the inserter's acq_rel CAS so
+  // every node reached through the chain is fully initialised.
+  int32_t node = head_[bucket].load(std::memory_order_acquire);
+  while (node != kNil && !KeyAt<kWide>(node, lo, hi)) {
+    ++traversed;
+    // acquire: same chain-publication pairing as the head load.
+    node = pools_->key_next[node].load(std::memory_order_acquire);
   }
+  *work += traversed;
+  return node;
 }
+
+template int32_t HashTable::FindOrAdd<false>(uint32_t, int32_t, int32_t,
+                                             simcl::DeviceId, uint32_t,
+                                             uint32_t*);
+template int32_t HashTable::FindOrAdd<true>(uint32_t, int32_t, int32_t,
+                                            simcl::DeviceId, uint32_t,
+                                            uint32_t*);
+template int32_t HashTable::Find<false>(uint32_t, int32_t, int32_t,
+                                        uint32_t*) const;
+template int32_t HashTable::Find<true>(uint32_t, int32_t, int32_t,
+                                       uint32_t*) const;
 
 bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
                           uint32_t workgroup) {
@@ -194,46 +193,8 @@ bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
   return true;
 }
 
-int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
-                           uint32_t* work) const {
-  Touch(&head_[bucket]);  // the list head load below
-  uint32_t traversed = 1;
-  // acquire (head and next): pairs with the inserter's acq_rel CAS so
-  // every node reached through the chain is fully initialised.
-  int32_t node = head_[bucket].load(std::memory_order_acquire);
-  while (node != kNil) {
-    Touch(&pools_->key_value[node]);
-    if (pools_->key_value[node] == key) break;
-    ++traversed;
-    // acquire: same chain-publication pairing as the head load.
-    node = pools_->key_next[node].load(std::memory_order_acquire);
-  }
-  *work += traversed;
-  return node;
-}
-
-int32_t HashTable::FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                               uint32_t* work) const {
-  Touch(&head_[bucket]);  // the list head load below
-  uint32_t traversed = 1;
-  // acquire (head and next): pairs with the inserter's acq_rel CAS so
-  // every node reached through the chain is fully initialised.
-  int32_t node = head_[bucket].load(std::memory_order_acquire);
-  while (node != kNil) {
-    Touch(&pools_->key_value[node]);
-    if (pools_->key_value[node] == key_lo &&
-        pools_->key_value_hi[node] == key_hi) {
-      break;
-    }
-    ++traversed;
-    // acquire: same chain-publication pairing as the head load.
-    node = pools_->key_next[node].load(std::memory_order_acquire);
-  }
-  *work += traversed;
-  return node;
-}
-
 std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
+                                                   uint32_t shift,
                                                    simcl::DeviceId dev) {
   uint64_t keys_moved = 0;
   uint64_t rids_moved = 0;
@@ -250,7 +211,7 @@ std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
       const uint32_t bucket =
           other.num_buckets_ == num_buckets_
               ? b
-              : BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)));
+              : BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)) >> shift);
       uint32_t work = 0;
       const int32_t dst = FindOrAddKey(bucket, key, dev, /*workgroup=*/0,
                                        &work);

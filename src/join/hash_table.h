@@ -80,6 +80,11 @@ class NodePools {
 };
 
 /// Chained hash table with bucket headers, key lists and rid lists.
+///
+/// HashTable and OpenHashTable share one table concept — BucketOf,
+/// VisitHeader, FindOrAdd<kWide>, Find<kWide>, InsertRid, HoldsSlot,
+/// BumpCount, PrefetchBucket, ForEachRid, MergeFrom — so the join-phase
+/// body (join/join_phase.h) is written once over either layout.
 class HashTable {
  public:
   /// `num_buckets` must be a nonzero power of two (BucketOf masks with
@@ -89,30 +94,46 @@ class HashTable {
   uint32_t num_buckets() const { return num_buckets_; }
   uint32_t BucketOf(uint32_t hash) const { return hash & (num_buckets_ - 1); }
 
-  /// Step b2/p2: visit the bucket header. Returns the key-list head;
-  /// `count` (optional) receives the bucket's tuple count — the probe-side
-  /// workload estimate used by divergence grouping.
-  int32_t VisitHeader(uint32_t bucket, int32_t* count = nullptr) const;
+  /// Step b2/p2: visit the bucket header. Returns false when the bucket's
+  /// key list is empty (no key can match); `count` (optional) receives the
+  /// bucket's tuple count — the probe-side workload estimate used by
+  /// divergence grouping.
+  bool VisitHeader(uint32_t bucket, int32_t* count = nullptr) const;
 
-  /// Step b3: find key in the bucket's key list, appending a new key node
-  /// if absent. Returns the key node index (or kNil if the arena is
-  /// exhausted). `*work` is incremented by the number of list nodes
-  /// traversed (>= 1) — the step's data-dependent work units.
+  /// Step b3: find the key (lo, and hi for two-word canonical keys) in the
+  /// bucket's key list, appending a new key node if absent. Returns the key
+  /// node index (or kNil if the arena is exhausted). `*work` is incremented
+  /// by the number of list nodes traversed (>= 1) — the step's
+  /// data-dependent work units. Wide matches compare lo first (the hash
+  /// word for dict-strings), hi second (the dictionary code); they require
+  /// pools constructed with wide_keys = true.
+  template <bool kWide>
+  int32_t FindOrAdd(uint32_t bucket, int32_t lo, int32_t hi,
+                    simcl::DeviceId dev, uint32_t workgroup, uint32_t* work);
+
+  /// Step p3: find the key without inserting. Returns the key node or
+  /// kNil; `*work` += nodes traversed (>= 1).
+  template <bool kWide>
+  int32_t Find(uint32_t bucket, int32_t lo, int32_t hi, uint32_t* work) const;
+
+  /// Single-word (U32) forms of FindOrAdd / Find.
   int32_t FindOrAddKey(uint32_t bucket, int32_t key, simcl::DeviceId dev,
-                       uint32_t workgroup, uint32_t* work);
-
-  /// Wide-key b3: like FindOrAddKey but matching both canonical key words.
-  /// Comparison order mirrors the probe contract: lo first (the hash word
-  /// for dict-strings), hi second (the dictionary code). Requires pools
-  /// constructed with wide_keys = true.
-  int32_t FindOrAddKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                           simcl::DeviceId dev, uint32_t workgroup,
-                           uint32_t* work);
+                       uint32_t workgroup, uint32_t* work) {
+    return FindOrAdd<false>(bucket, key, 0, dev, workgroup, work);
+  }
+  int32_t FindKey(uint32_t bucket, int32_t key, uint32_t* work) const {
+    return Find<false>(bucket, key, 0, work);
+  }
 
   /// Step b4: insert `rid` into the key node's rid list. Returns false if
   /// the rid arena is exhausted.
   bool InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
                  uint32_t workgroup);
+
+  /// True when InsertRid(`key_node`) on this table links into the right
+  /// rid list. Always: key nodes live in the shared NodePools, so a rid
+  /// inserted through either per-device table reaches the same list.
+  bool HoldsSlot(int32_t /*key_node*/) const { return true; }
 
   /// Increments the bucket's tuple count (done by the b4 step, which knows
   /// the tuple's bucket from the b2 intermediate state).
@@ -120,18 +141,10 @@ class HashTable {
     count_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Step p3: find key without inserting. Returns key node or kNil;
-  /// `*work` += nodes traversed (>= 1).
-  int32_t FindKey(uint32_t bucket, int32_t key, uint32_t* work) const;
-
-  /// Wide-key p3: find a two-word canonical key without inserting.
-  int32_t FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                      uint32_t* work) const;
-
   /// Prefetches the bucket's header line (the first hop of every header
   /// visit and key-list walk) — issued by the batch kernels
   /// `prefetch_dist` items ahead of the access.
-  void PrefetchHeader(uint32_t bucket) const {
+  void PrefetchBucket(uint32_t bucket) const {
     __builtin_prefetch(&head_[bucket], 0, 1);
   }
 
@@ -148,10 +161,13 @@ class HashTable {
     return n;
   }
 
-  /// Merges all entries of `other` into this table (the post-build merge
-  /// required by separate tables). Returns {keys moved, rids moved}.
+  /// Merges all entries of `other` (U32 keys) into this table — the
+  /// post-build merge required by separate tables. `shift` is the hash
+  /// pre-shift the owning engine uses (0 for SHJ, radix bits for PHJ
+  /// partitions), needed only when the bucket counts differ. Returns
+  /// {keys moved, rids moved}.
   std::pair<uint64_t, uint64_t> MergeFrom(const HashTable& other,
-                                          simcl::DeviceId dev);
+                                          uint32_t shift, simcl::DeviceId dev);
 
   /// Key/rid nodes inserted through this table.
   uint64_t keys_inserted() const {
@@ -175,6 +191,9 @@ class HashTable {
   void Touch(const void* p) const {
     if (cache_ != nullptr) cache_->Access(reinterpret_cast<uint64_t>(p));
   }
+  /// Traced key compare of one key-list node.
+  template <bool kWide>
+  bool KeyAt(int32_t node, int32_t lo, int32_t hi) const;
 
   uint32_t num_buckets_;
   NodePools* pools_;

@@ -52,11 +52,17 @@ class MultiwayEngine {
 
   bool overflowed() const;
 
+  static constexpr size_t kMaxTables = 4;
+
   /// Summed per-table working sets — the chain's random accesses span all
   /// tables.
   double TablesWorkingSetBytes() const;
 
  private:
+  /// The chain over one table layout and key width.
+  template <class Table, bool kWide>
+  std::vector<StepDef> ChainStepsT(ResultWriter* out);
+
   simcl::SimContext* ctx_;
   std::vector<const data::Relation*> builds_;
   const data::Relation* probe_;

@@ -1,5 +1,6 @@
 #include "join/open_hash_table.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -25,13 +26,20 @@ constexpr uint32_t kMaxOpenBuckets = 1u << 27;
 
 // Validated before the bucket arrays are sized, so a bogus count never
 // reaches the allocator.
-uint32_t ValidateOpenBuckets(uint32_t num_buckets) {
+uint32_t ValidateOpenBuckets(uint32_t num_buckets, int32_t slot_base) {
   if (num_buckets == 0 || (num_buckets & (num_buckets - 1)) != 0 ||
       num_buckets > kMaxOpenBuckets) {
     throw std::invalid_argument(
         "OpenHashTable: num_buckets must be a nonzero power of two <= 2^27, "
         "got " +
         std::to_string(num_buckets));
+  }
+  const int64_t last_slot = int64_t{slot_base} +
+                            int64_t{num_buckets} * kOpenSlotsPerBucket - 1;
+  if (slot_base < 0 || last_slot > INT32_MAX) {
+    throw std::invalid_argument(
+        "OpenHashTable: slot ids from base " + std::to_string(slot_base) +
+        " overflow int32");
   }
   return num_buckets;
 }
@@ -45,9 +53,15 @@ uint32_t OpenBucketsFor(uint64_t build_tuples) {
 }
 
 OpenHashTable::OpenHashTable(uint32_t num_buckets, NodePools* pools,
-                             bool wide_keys)
-    : num_buckets_(ValidateOpenBuckets(num_buckets)),
+                             bool wide_keys, SimdPolicy simd,
+                             int32_t slot_base)
+    : num_buckets_(ValidateOpenBuckets(num_buckets, slot_base)),
       pools_(pools),
+      // The AVX2 bucket compare covers one 32-bit word per slot, so wide
+      // tables always probe the scalar two-word loop.
+      use_avx2_(simd != SimdPolicy::kScalar && CpuSupportsAvx2() &&
+                !wide_keys),
+      slot_base_(slot_base),
       keys_(size_t{num_buckets} * kOpenSlotsPerBucket),
       keys_hi_(wide_keys ? size_t{num_buckets} * kOpenSlotsPerBucket : 0),
       rid_head_(size_t{num_buckets} * kOpenSlotsPerBucket),
@@ -60,69 +74,19 @@ OpenHashTable::OpenHashTable(uint32_t num_buckets, NodePools* pools,
   }
 }
 
-uint32_t OpenHashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
+bool OpenHashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
   Touch(&state_[bucket]);
   if (count != nullptr) {
     *count = count_[bucket].load(std::memory_order_relaxed);
   }
-  return state_[bucket].load(std::memory_order_acquire) & kCountMask;
+  // acquire: pairs with the inserter's release-store of the count.
+  return (state_[bucket].load(std::memory_order_acquire) & kCountMask) != 0;
 }
 
-int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
-                                    uint32_t* work) {
-  uint32_t probed = 0;
-  uint32_t b = home_bucket;
-  for (uint32_t step = 0; step < num_buckets_; ++step) {
-    ++probed;
-    const size_t base = size_t{b} * kOpenSlotsPerBucket;
-    Touch(&keys_[base]);
-    // Lock-free fast path: scan the published prefix.
-    uint32_t cnt =
-        state_[b].load(std::memory_order_acquire) & kCountMask;
-    for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key) {
-        *work += probed;
-        return static_cast<int32_t>(base + s);
-      }
-    }
-    if (cnt < kOpenSlotsPerBucket) {
-      // Free slots may exist: take the bucket lock, re-scan what was
-      // published while we waited, then claim the next slot.
-      uint32_t st = state_[b].load(std::memory_order_relaxed);
-      do {
-        st &= ~kLockBit;
-      } while (!state_[b].compare_exchange_weak(st, st | kLockBit,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed));
-      const uint32_t locked_cnt = st & kCountMask;
-      for (uint32_t s = cnt; s < locked_cnt; ++s) {
-        if (keys_[base + s] == key) {
-          state_[b].store(st, std::memory_order_release);  // unlock
-          *work += probed;
-          return static_cast<int32_t>(base + s);
-        }
-      }
-      if (locked_cnt < kOpenSlotsPerBucket) {
-        keys_[base + locked_cnt] = key;
-        // Unlock and publish the new slot in one release store; the key
-        // write above is ordered before it.
-        state_[b].store(locked_cnt + 1, std::memory_order_release);
-        keys_inserted_.fetch_add(1, std::memory_order_relaxed);
-        *work += probed;
-        return static_cast<int32_t>(base + locked_cnt);
-      }
-      // Filled up while we raced for the lock; release and displace.
-      state_[b].store(st, std::memory_order_release);
-      cnt = locked_cnt;
-    }
-    b = (b + 1) & (num_buckets_ - 1);
-  }
-  *work += probed;
-  return kNil;  // every bucket full
-}
-
-int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                                        int32_t key_hi, uint32_t* work) {
+template <bool kWide>
+int32_t OpenHashTable::FindOrAdd(uint32_t home_bucket, int32_t lo, int32_t hi,
+                                 simcl::DeviceId /*dev*/,
+                                 uint32_t /*workgroup*/, uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -130,12 +94,12 @@ int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
     const size_t base = size_t{b} * kOpenSlotsPerBucket;
     Touch(&keys_[base]);
     // Lock-free fast path: scan the published prefix. lo compares first
-    // (the hash word), hi second (the dictionary code).
+    // (the hash word for wide keys), hi second (the dictionary code).
     uint32_t cnt = state_[b].load(std::memory_order_acquire) & kCountMask;
     for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
+      if (KeyAt<kWide>(base + s, lo, hi)) {
         *work += probed;
-        return static_cast<int32_t>(base + s);
+        return Global(base + s);
       }
     }
     if (cnt < kOpenSlotsPerBucket) {
@@ -149,21 +113,21 @@ int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
                                                 std::memory_order_relaxed));
       const uint32_t locked_cnt = st & kCountMask;
       for (uint32_t s = cnt; s < locked_cnt; ++s) {
-        if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
+        if (KeyAt<kWide>(base + s, lo, hi)) {
           state_[b].store(st, std::memory_order_release);  // unlock
           *work += probed;
-          return static_cast<int32_t>(base + s);
+          return Global(base + s);
         }
       }
       if (locked_cnt < kOpenSlotsPerBucket) {
-        keys_[base + locked_cnt] = key_lo;
-        keys_hi_[base + locked_cnt] = key_hi;
-        // Unlock and publish the new slot in one release store; both key
+        keys_[base + locked_cnt] = lo;
+        if constexpr (kWide) keys_hi_[base + locked_cnt] = hi;
+        // Unlock and publish the new slot in one release store; the key
         // word writes above are ordered before it.
         state_[b].store(locked_cnt + 1, std::memory_order_release);
         keys_inserted_.fetch_add(1, std::memory_order_relaxed);
         *work += probed;
-        return static_cast<int32_t>(base + locked_cnt);
+        return Global(base + locked_cnt);
       }
       // Filled up while we raced for the lock; release and displace.
       state_[b].store(st, std::memory_order_release);
@@ -181,22 +145,23 @@ bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
   if (ni == kNil) return false;
   pools_->rid_value[ni] = rid;
   Touch(&pools_->rid_value[ni]);
+  std::atomic<int32_t>& head = rid_head_[slot - slot_base_];
   // Push ni at the rid-list head. The initial load may be relaxed (a
   // stale head just fails the CAS); the CAS is acq_rel — release
   // publishes rid_value/rid_next to acquire-readers of the head,
   // acquire refreshes `old` for the retry.
-  int32_t old = rid_head_[slot].load(std::memory_order_relaxed);
+  int32_t old = head.load(std::memory_order_relaxed);
   do {
     pools_->rid_next[ni] = old;
-  } while (!rid_head_[slot].compare_exchange_weak(
-      old, ni, std::memory_order_acq_rel));
+  } while (!head.compare_exchange_weak(old, ni, std::memory_order_acq_rel));
   // relaxed: statistics counter.
   rids_inserted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
-                                     uint32_t* work) const {
+template <bool kWide>
+int32_t OpenHashTable::FindScalar(uint32_t home_bucket, int32_t lo,
+                                  int32_t hi, uint32_t* work) const {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -204,35 +169,10 @@ int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
     const size_t base = size_t{b} * kOpenSlotsPerBucket;
     Touch(&keys_[base]);
     // acquire: pairs with the inserter's release-store of the count so
-    // the first `cnt` key slots are visible before we read them.
-    const uint32_t cnt =
-        state_[b].load(std::memory_order_acquire) & kCountMask;
-    for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key) {
-        *work += probed;
-        return static_cast<int32_t>(base + s);
-      }
-    }
-    if (cnt < kOpenSlotsPerBucket) break;  // key would have landed here
-    b = (b + 1) & (num_buckets_ - 1);
-  }
-  *work += probed;
-  return kNil;
-}
-
-int32_t OpenHashTable::FindKeyWide(uint32_t home_bucket, int32_t key_lo,
-                                   int32_t key_hi, uint32_t* work) const {
-  uint32_t probed = 0;
-  uint32_t b = home_bucket;
-  for (uint32_t step = 0; step < num_buckets_; ++step) {
-    ++probed;
-    const size_t base = size_t{b} * kOpenSlotsPerBucket;
-    Touch(&keys_[base]);
-    // acquire: pairs with the inserter's release-store of the count so
-    // the first `cnt` slots of both key-word arrays are visible.
+    // the first `cnt` slots of the key-word arrays are visible.
     const uint32_t cnt = state_[b].load(std::memory_order_acquire) & kCountMask;
     for (uint32_t s = 0; s < cnt; ++s) {
-      if (keys_[base + s] == key_lo && keys_hi_[base + s] == key_hi) {
+      if (KeyAt<kWide>(base + s, lo, hi)) {
         *work += probed;
         return static_cast<int32_t>(base + s);
       }
@@ -280,19 +220,41 @@ __attribute__((target("avx2"))) int32_t OpenHashTable::FindKeyAvx2(
 #else
 int32_t OpenHashTable::FindKeyAvx2(uint32_t home_bucket, int32_t key,
                                    uint32_t* work) const {
-  return FindKeyScalar(home_bucket, key, work);
+  return FindScalar<false>(home_bucket, key, 0, work);
 }
 #endif
 
+template <bool kWide>
+int32_t OpenHashTable::Find(uint32_t home_bucket, int32_t lo, int32_t hi,
+                            uint32_t* work) const {
+  int32_t local;
+  if constexpr (kWide) {
+    local = FindScalar<true>(home_bucket, lo, hi, work);
+  } else {
+    local = use_avx2_ ? FindKeyAvx2(home_bucket, lo, work)
+                      : FindScalar<false>(home_bucket, lo, 0, work);
+  }
+  return local == kNil ? kNil : Global(static_cast<size_t>(local));
+}
+
 int32_t OpenHashTable::FindKey(uint32_t home_bucket, int32_t key,
                                uint32_t* work, bool use_avx2) const {
-#if APUJOIN_HAVE_AVX2
-  if (use_avx2) return FindKeyAvx2(home_bucket, key, work);
-#else
-  (void)use_avx2;
-#endif
-  return FindKeyScalar(home_bucket, key, work);
+  const int32_t local = use_avx2
+                            ? FindKeyAvx2(home_bucket, key, work)
+                            : FindScalar<false>(home_bucket, key, 0, work);
+  return local == kNil ? kNil : Global(static_cast<size_t>(local));
 }
+
+template int32_t OpenHashTable::FindOrAdd<false>(uint32_t, int32_t, int32_t,
+                                                 simcl::DeviceId, uint32_t,
+                                                 uint32_t*);
+template int32_t OpenHashTable::FindOrAdd<true>(uint32_t, int32_t, int32_t,
+                                                simcl::DeviceId, uint32_t,
+                                                uint32_t*);
+template int32_t OpenHashTable::Find<false>(uint32_t, int32_t, int32_t,
+                                            uint32_t*) const;
+template int32_t OpenHashTable::Find<true>(uint32_t, int32_t, int32_t,
+                                           uint32_t*) const;
 
 std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
     const OpenHashTable& other, uint32_t shift, simcl::DeviceId dev) {
@@ -315,7 +277,8 @@ std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
       const int32_t dst = FindOrAddKey(home, key, &work);
       if (dst == kNil) return {keys_moved, rids_moved};
       ++keys_moved;
-      // relaxed: quiescent source table (see loop header comment).
+      // relaxed: quiescent source table (see loop header comment). The
+      // source's rid heads are indexed locally, like `other.keys_`.
       for (int32_t rn =
                other.rid_head_[base + s].load(std::memory_order_relaxed);
            rn != kNil; rn = other.pools_->rid_next[rn]) {

@@ -44,6 +44,7 @@
 
 #include "alloc/aligned_buffer.h"
 #include "join/hash_table.h"
+#include "join/options.h"
 #include "simcl/cache_sim.h"
 
 namespace apujoin::join {
@@ -55,68 +56,89 @@ inline constexpr uint32_t kOpenSlotsPerBucket = 8;
 uint32_t OpenBucketsFor(uint64_t build_tuples);
 
 /// Open-addressing hash table: 8-slot key buckets with linear probing,
-/// per-slot rid lists carved from a shared NodePools rid arena.
+/// per-slot rid lists carved from a shared NodePools rid arena. Implements
+/// the same table concept as HashTable (see hash_table.h).
 class OpenHashTable {
  public:
-  /// `num_buckets` must be a nonzero power of two, at most 2^27 (so global
-  /// slot ids fit an int32); throws std::invalid_argument otherwise.
+  /// `num_buckets` must be a nonzero power of two, at most 2^27, and every
+  /// slot id (see `slot_base`) must fit an int32; throws
+  /// std::invalid_argument otherwise.
   /// `wide_keys` adds a parallel secondary key-word array for two-word
-  /// canonical keys (U64 / composite / dict-string).
-  OpenHashTable(uint32_t num_buckets, NodePools* pools,
-                bool wide_keys = false);
+  /// canonical keys (U64 / composite / dict-string). `simd` picks the
+  /// narrow probe loop once, here (wide keys are always scalar).
+  /// `slot_base` offsets every slot id this table hands out: a GPU-private
+  /// copy in separate-table mode numbers its slots after the CPU table's
+  /// num_slots(), so a slot id names its table on whichever device the
+  /// rid insert runs.
+  OpenHashTable(uint32_t num_buckets, NodePools* pools, bool wide_keys = false,
+                SimdPolicy simd = SimdPolicy::kAuto, int32_t slot_base = 0);
 
   uint32_t num_buckets() const { return num_buckets_; }
   /// Total key slots — the open layout's analogue of the chained bucket
   /// count for cost-model occupancy (alpha = distinct keys / capacity).
   uint32_t num_slots() const { return num_buckets_ * kOpenSlotsPerBucket; }
   uint32_t BucketOf(uint32_t hash) const { return hash & (num_buckets_ - 1); }
+  /// True when Find takes the AVX2 bucket compare.
+  bool uses_avx2() const { return use_avx2_; }
 
-  /// Step b2/p2: snapshot the bucket state. Returns the published slot
-  /// count of the *home* bucket; `count` (optional) receives the bucket's
-  /// tuple count — the probe-side workload estimate for grouping.
-  uint32_t VisitHeader(uint32_t bucket, int32_t* count = nullptr) const;
+  /// Step b2/p2: snapshot the bucket state. Returns false when the *home*
+  /// bucket has no published slot — it then ends every linear probe, so
+  /// the key is definitively absent; `count` (optional) receives the
+  /// bucket's tuple count — the probe-side workload estimate for grouping.
+  bool VisitHeader(uint32_t bucket, int32_t* count = nullptr) const;
 
-  /// Step b3: find `key` starting at its home bucket, claiming a slot if
-  /// absent. Returns the global slot id (bucket * 8 + slot) or kNil when
-  /// every bucket is full (the caller falls back to its overflow path).
-  /// `*work` is incremented by the number of buckets probed (>= 1).
-  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, uint32_t* work);
+  /// Step b3: find the key (lo, and hi for two-word canonical keys)
+  /// starting at its home bucket, claiming a slot if absent. Returns the
+  /// slot id (slot_base + bucket * 8 + slot) or kNil when every bucket is
+  /// full (the caller falls back to its overflow path). `*work` is
+  /// incremented by the number of buckets probed (>= 1). `dev` and
+  /// `workgroup` are unused — keys live inline, nothing is allocated.
+  template <bool kWide>
+  int32_t FindOrAdd(uint32_t home_bucket, int32_t lo, int32_t hi,
+                    simcl::DeviceId dev, uint32_t workgroup, uint32_t* work);
 
-  /// Wide-key b3: like FindOrAddKey but matching both canonical key words
-  /// (lo first — the 64-bit-hash word for dict-strings — then hi, the
-  /// dictionary code). Requires construction with wide_keys = true.
-  int32_t FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                           int32_t key_hi, uint32_t* work);
+  /// Step p3: find without inserting. Returns the slot id or kNil;
+  /// `*work` += buckets probed (>= 1). Narrow keys take the AVX2 bucket
+  /// compare when the constructor resolved it; both paths return identical
+  /// results.
+  template <bool kWide>
+  int32_t Find(uint32_t home_bucket, int32_t lo, int32_t hi,
+               uint32_t* work) const;
+
+  /// Single-word (U32) FindOrAdd.
+  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, uint32_t* work) {
+    return FindOrAdd<false>(home_bucket, key, 0, simcl::DeviceId::kCpu, 0,
+                            work);
+  }
+  /// Single-word Find with an explicit probe path — `use_avx2` selects the
+  /// vector compare when compiled in (scalar otherwise), overriding the
+  /// constructor's choice; for parity tests and micro-benchmarks.
+  int32_t FindKey(uint32_t home_bucket, int32_t key, uint32_t* work,
+                  bool use_avx2) const;
 
   /// Step b4: insert `rid` into the slot's rid list. Returns false if the
-  /// rid arena is exhausted.
+  /// rid arena is exhausted. `slot` must satisfy HoldsSlot.
   bool InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
                  uint32_t workgroup);
+
+  /// True when `slot` is one of this table's slot ids.
+  bool HoldsSlot(int32_t slot) const {
+    return slot >= slot_base_ &&
+           static_cast<uint32_t>(slot - slot_base_) < num_slots();
+  }
 
   /// Increments the home bucket's tuple count (done by the b4 step).
   void BumpCount(uint32_t bucket) {
     count_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Step p3: find without inserting. Returns the global slot id or kNil;
-  /// `*work` += buckets probed (>= 1). `use_avx2` selects the vector
-  /// bucket-compare when compiled in (ignored — scalar — otherwise);
-  /// both paths return identical results.
-  int32_t FindKey(uint32_t home_bucket, int32_t key, uint32_t* work,
-                  bool use_avx2) const;
-
-  /// Wide-key p3: find a two-word canonical key without inserting. Scalar
-  /// only — the 8-lane AVX2 bucket compare covers one 32-bit word, so the
-  /// engines fall back to this path per-schema instead of per-item.
-  int32_t FindKeyWide(uint32_t home_bucket, int32_t key_lo, int32_t key_hi,
-                      uint32_t* work) const;
-
   /// Step p4: walk the rid list of `slot`, calling `emit(build_rid)` for
   /// each match. Returns the number of matches.
   template <typename EmitFn>
   uint32_t ForEachRid(int32_t slot, EmitFn&& emit) const {
     uint32_t n = 0;
-    for (int32_t r = rid_head_[slot].load(std::memory_order_relaxed);
+    for (int32_t r = rid_head_[slot - slot_base_].load(
+             std::memory_order_relaxed);
          r != kNil; r = pools_->rid_next[r]) {
       emit(pools_->rid_value[r]);
       ++n;
@@ -158,11 +180,24 @@ class OpenHashTable {
   uint64_t TotalCount() const;
 
  private:
-  int32_t FindKeyScalar(uint32_t home_bucket, int32_t key,
-                        uint32_t* work) const;
+  // Probe loops returning *local* slot indexes (bucket * 8 + slot).
+  template <bool kWide>
+  int32_t FindScalar(uint32_t home_bucket, int32_t lo, int32_t hi,
+                     uint32_t* work) const;
   // Compiled with the per-function AVX2 target attribute when available;
   // otherwise an alias for the scalar path.
   int32_t FindKeyAvx2(uint32_t home_bucket, int32_t key, uint32_t* work) const;
+  template <bool kWide>
+  bool KeyAt(size_t local, int32_t lo, int32_t hi) const {
+    if constexpr (kWide) {
+      return keys_[local] == lo && keys_hi_[local] == hi;
+    } else {
+      return keys_[local] == lo;
+    }
+  }
+  int32_t Global(size_t local) const {
+    return slot_base_ + static_cast<int32_t>(local);
+  }
 
   void Touch(const void* p) const {
     if (cache_ != nullptr) cache_->Access(reinterpret_cast<uint64_t>(p));
@@ -170,6 +205,8 @@ class OpenHashTable {
 
   uint32_t num_buckets_;
   NodePools* pools_;
+  bool use_avx2_;
+  int32_t slot_base_;
   alloc::AlignedArray<int32_t> keys_;                  // 8 per bucket
   alloc::AlignedArray<int32_t> keys_hi_;               // wide only, else 0
   alloc::AlignedArray<std::atomic<int32_t>> rid_head_;  // 1 per slot

@@ -4,22 +4,24 @@
 // one n1..n3 step series per pass). Phase 2: SHJ on each partition pair.
 // In the fine-grained formulation the join phase is still two global step
 // series (b1..b4 over all partitioned R tuples, p1..p4 over all partitioned
-// S tuples); tuples simply address their own partition's hash table, which
-// is small enough to live in the shared L2 — the whole point of PHJ.
+// S tuples) — literally SHJ's kernels: the shared join-phase body
+// (join/join_phase.h) with a table selector that sends each tuple to its own
+// partition's hash table (`part_of`), small enough to live in the shared
+// L2 — the whole point of PHJ.
 //
-// Bucket indices use the hash bits *above* the partition bits, so the radix
-// partitioning does not degenerate the in-partition bucket distribution.
+// Bucket indices use the hash bits *above* the partition bits (the body's
+// hash shift), so the radix partitioning does not degenerate the
+// in-partition bucket distribution. Fused-select filters are pushed into
+// pass 0 of the partitioners, so the join phase itself runs unfiltered.
 
 #ifndef APUJOIN_JOIN_PARTITIONED_HASH_JOIN_H_
 #define APUJOIN_JOIN_PARTITIONED_HASH_JOIN_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "data/relation.h"
-#include "join/hash_table.h"
-#include "join/open_hash_table.h"
+#include "join/join_phase.h"
 #include "join/options.h"
 #include "join/radix_partition.h"
 #include "join/result_writer.h"
@@ -78,64 +80,40 @@ class PhjEngine {
 
   NodePools& pools() { return *pools_; }
   const EngineOptions& options() const { return opts_; }
-  bool overflowed() const {
-    // relaxed: sticky flag read after the spans that may set it.
-    return overflowed_.load(std::memory_order_relaxed);
-  }
+  bool overflowed() const { return phase_.overflowed(); }
   uint32_t num_partitions() const { return plan_.total_partitions; }
-  HashTable* table(uint32_t partition) { return tables_[partition].get(); }
+  /// Chained table of `partition` (nullptr under the open layout).
+  HashTable* table(uint32_t partition) {
+    return phase_.table<HashTable>(partition);
+  }
   /// Open-layout table for `partition` (nullptr under the chained layout).
   OpenHashTable* open_table(uint32_t partition) {
-    return partition < open_tables_.size() ? open_tables_[partition].get()
-                                           : nullptr;
+    return phase_.table<OpenHashTable>(partition);
   }
   /// Average per-partition table capacity as the cost model sees it:
   /// chained buckets, or total key slots under the open layout.
   uint64_t CostModelBuckets() const;
   /// True when the probe kernels take the AVX2 bucket-compare path.
-  bool probe_uses_avx2() const { return use_avx2_; }
+  bool probe_uses_avx2() const {
+    const OpenHashTable* t = phase_.table<OpenHashTable>(0);
+    return t != nullptr && t->uses_avx2();
+  }
 
   /// Average per-partition working set (bytes) — the join phase's random
   /// accesses hit this, not the full table (PHJ's cache advantage).
   double PartitionWorkingSetBytes() const;
 
-  const std::vector<uint32_t>& probe_permutation() const { return perm_; }
+  const std::vector<uint32_t>& probe_permutation() const {
+    return phase_.probe_permutation();
+  }
 
   /// Key schema shared by both relations (validated in Prepare()).
   data::KeySchema key_schema() const { return build_->key_schema; }
 
  private:
-  void BuildProbePermutation(uint64_t begin, uint64_t end);
-
-  /// Canonicalizes dict-string key columns into engine-owned canonical
-  /// relations (lo = low32(Murmur64(string)), hi = build-side dictionary
-  /// code; probe codes translated) and picks the partitioner inputs.
-  apujoin::Status ResolveKeyViews();
-
-  // Kernel factories, templated on key width: the schema dispatch happens
-  // here — at StepDef-construction scope — so each kernel body is one
-  // branch-free instantiation (narrow U32, or wide two-word canonical).
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsT();
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsOpenT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonOpenT();
-  /// p1..p3 shared by the emitting and fused probe series (per layout);
-  /// width dispatchers over the templated factories above.
-  std::vector<StepDef> ProbeStepsCommon();
-  std::vector<StepDef> ProbeStepsCommonOpen();
-  StepDef MakeEmitStep(ResultWriter* out);
-  StepDef MakeEmitStepOpen(ResultWriter* out);
-  StepDef MakeFusedAggStep(GroupByEngine* agg);
-  StepDef MakeFusedAggStepOpen(GroupByEngine* agg);
-
-  /// Table the build kernel for item `item` on `dev` addresses: the item's
-  /// partition table, or the GPU's private copy in separate mode.
-  HashTable* TableFor(uint64_t item, simcl::DeviceId dev) const;
-  OpenHashTable* OpenTableFor(uint64_t item, simcl::DeviceId dev) const;
+  /// The join-phase input over one partitioned side.
+  PhaseInput SideInput(const RadixPartitioner& part,
+                       const std::vector<uint32_t>& part_of) const;
 
   simcl::SimContext* ctx_;
   const data::Relation* build_;
@@ -153,20 +131,8 @@ class PhjEngine {
   std::unique_ptr<RadixPartitioner> part_r_;
   std::unique_ptr<RadixPartitioner> part_s_;
   std::unique_ptr<NodePools> pools_;
-  std::vector<std::unique_ptr<HashTable>> tables_;
-  std::vector<std::unique_ptr<HashTable>> tables_gpu_;  // separate mode
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_;
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_gpu_;
-  bool use_avx2_ = false;  // resolved from opts_.simd in Prepare()
-  bool wide_ = false;      // KeyIsWide(key_schema()), resolved in Prepare()
-  std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
-
+  JoinPhase phase_;
   std::vector<uint32_t> part_of_r_, part_of_s_;  // tuple -> partition
-  std::vector<uint32_t> r_hash_, s_hash_;
-  std::vector<uint32_t> r_bucket_, s_bucket_;
-  std::vector<int32_t> r_keynode_, s_keynode_;
-  std::vector<int32_t> s_count_;
-  std::vector<uint32_t> perm_;
 };
 
 }  // namespace apujoin::join

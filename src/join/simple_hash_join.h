@@ -1,21 +1,20 @@
 // Simple hash join (SHJ, Algorithm 1): build + probe step series over the
 // paper's bucket/key-list/rid-list hash table, with no partitioning phase.
 //
-// The engine owns all per-tuple intermediate state (hash values, bucket
-// ids, key-node ids) so each fine-grained step is a pure data-parallel
-// kernel over tuple indices — exactly the shape the co-processing schemes
-// (OL/DD/PL) schedule across the CPU and the GPU.
+// The kernels are the shared join-phase body (join/join_phase.h) over one
+// table — or, under separate tables, one per device — so each
+// fine-grained step is a pure data-parallel kernel over tuple indices:
+// exactly the shape the co-processing schemes (OL/DD/PL) schedule across
+// the CPU and the GPU. The engine supplies inputs, filters and sizing.
 
 #ifndef APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_
 #define APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "data/relation.h"
-#include "join/hash_table.h"
-#include "join/open_hash_table.h"
+#include "join/join_phase.h"
 #include "join/options.h"
 #include "join/result_writer.h"
 #include "join/steps.h"
@@ -68,17 +67,14 @@ class ShjEngine {
   /// build (the paper's merge overhead). Returns {keys, rids} moved.
   std::pair<uint64_t, uint64_t> MergeSeparateTables();
 
-  HashTable* table(int i = 0) { return tables_[i].get(); }
-  /// Open-layout table (nullptr under the chained layout).
+  /// Chained table: 0 = the shared (CPU) table, 1 = the GPU's private
+  /// table in separate mode; nullptr under the open layout.
+  HashTable* table(int i = 0) { return phase_.table<HashTable>(0, i == 1); }
+  /// Open-layout table, numbered like table(); nullptr under chained.
   OpenHashTable* open_table(int i = 0) {
-    return i < static_cast<int>(open_tables_.size()) ? open_tables_[i].get()
-                                                     : nullptr;
+    return phase_.table<OpenHashTable>(0, i == 1);
   }
-  int num_tables() const {
-    return static_cast<int>(opts_.layout == exec::HashLayout::kChained
-                                ? tables_.size()
-                                : open_tables_.size());
-  }
+  int num_tables() const { return opts_.shared_table ? 1 : 2; }
   NodePools& pools() { return *pools_; }
   const EngineOptions& options() const { return opts_; }
   /// Hash-table capacity as the cost model sees it: chained bucket count,
@@ -89,59 +85,29 @@ class ShjEngine {
                : uint64_t{opts_.num_buckets} * kOpenSlotsPerBucket;
   }
   /// True when the probe kernels take the AVX2 bucket-compare path.
-  bool probe_uses_avx2() const { return use_avx2_; }
+  bool probe_uses_avx2() const {
+    const OpenHashTable* t = phase_.table<OpenHashTable>(0);
+    return t != nullptr && t->uses_avx2();
+  }
 
   /// True if any kernel hit arena exhaustion.
-  bool overflowed() const {
-    return overflowed_.load(std::memory_order_relaxed);
-  }
+  bool overflowed() const { return phase_.overflowed(); }
 
   /// Estimated hash-table working set (bytes), used in step profiles.
   double TableWorkingSetBytes() const;
 
   /// The workload-divergence grouping permutation used in p3/p4 (empty =
   /// identity); exposed for tests.
-  const std::vector<uint32_t>& probe_permutation() const { return perm_; }
+  const std::vector<uint32_t>& probe_permutation() const {
+    return phase_.probe_permutation();
+  }
 
   /// Key schema shared by both relations (validated in Prepare()).
   data::KeySchema key_schema() const { return build_->key_schema; }
 
  private:
-  void BuildProbePermutation(uint64_t begin, uint64_t end);
-
-  /// Canonicalizes dict-string key columns into engine-owned (lo, hi)
-  /// word arrays and resolves the kernel key views for every schema.
-  apujoin::Status ResolveKeyViews();
-
-  // Kernel factories, templated on key width: the schema dispatch happens
-  // here — at StepDef-construction scope — so each kernel body is one
-  // branch-free instantiation (narrow U32, or wide two-word canonical).
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsT();
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsOpenT();
-  /// p1..p3 shared by the emitting and fused probe series (per layout).
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonOpenT();
-  StepDef MakeEmitStep(ResultWriter* out);
-  StepDef MakeEmitStepOpen(ResultWriter* out);
-  StepDef MakeFusedAggStep(GroupByEngine* agg);
-  StepDef MakeFusedAggStepOpen(GroupByEngine* agg);
-
-  /// Table a build kernel on `dev` inserts into: the shared table, or the
-  /// device's private table in separate mode.
-  HashTable* BuildTableFor(simcl::DeviceId dev) {
-    return (opts_.shared_table || dev == simcl::DeviceId::kCpu)
-               ? tables_[0].get()
-               : tables_.back().get();
-  }
-  OpenHashTable* OpenBuildTableFor(simcl::DeviceId dev) {
-    return (opts_.shared_table || dev == simcl::DeviceId::kCpu)
-               ? open_tables_[0].get()
-               : open_tables_.back().get();
-  }
+  PhaseInput BuildInput() const;
+  PhaseInput ProbeInput() const;
 
   simcl::SimContext* ctx_;
   const data::Relation* build_;
@@ -152,26 +118,13 @@ class ShjEngine {
   uint64_t build_card_ = 0;  // live build lanes under the filter (0 = all)
 
   std::unique_ptr<NodePools> pools_;
-  std::vector<std::unique_ptr<HashTable>> tables_;
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_;
-  bool use_avx2_ = false;  // resolved from opts_.simd in Prepare()
-  bool wide_ = false;      // KeyIsWide(key_schema()), resolved in Prepare()
-  std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
+  JoinPhase phase_;
 
-  // Canonical key views the kernels capture: U32/U64/composite views point
-  // straight at the relation columns; dict-string views point at the
-  // canonical arrays below (lo = low32(Murmur64(string)), hi = build-side
-  // dictionary code, probe codes translated at Prepare()).
-  KeyView r_view_, s_view_;
-  std::vector<int32_t> r_canon_lo_, r_canon_hi_;
-  std::vector<int32_t> s_canon_lo_, s_canon_hi_;
-
-  // Per-tuple intermediate state (the "pipeline registers" between steps).
-  std::vector<uint32_t> r_hash_, s_hash_;
-  std::vector<uint32_t> r_bucket_, s_bucket_;
-  std::vector<int32_t> r_keynode_, s_keynode_;
-  std::vector<int32_t> s_count_;  // p2 workload estimate (grouping input)
-  std::vector<uint32_t> perm_;    // probe grouping permutation
+  // Key words the kernels read: the relations' own columns, or the
+  // canonical dict-string copies below (see ResolveJoinKeys).
+  const data::Relation* r_keys_ = nullptr;
+  const data::Relation* s_keys_ = nullptr;
+  data::Relation r_canon_, s_canon_;
 };
 
 }  // namespace apujoin::join

@@ -43,6 +43,9 @@ double EmpiricalCdf::Quantile(double q) const {
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
+  // An exact hit returns the sample itself: interpolating would compute
+  // inf * 0 = NaN when the neighbour is infinite.
+  if (frac == 0.0) return samples_[lo];
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,44 @@ TEST(LayoutParity, EmptyRelationRejectedIdentically) {
     auto report = ExecutePlan(&ctx, MakeSingleJoinPlan(w, spec));
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Separate tables under OL/PL may run b3 (key insert) and b4 (rid insert)
+// for the same tuple on different devices. b4 must link the rid into the
+// table whose slot b3 returned, not the table of the device it runs on —
+// otherwise the join returns OK with missing matches. The build ratios
+// pin b3 and b4 to opposite devices in both directions.
+TEST(LayoutParity, SeparateTablesSplitKeyAndRidInsertAcrossDevices) {
+  const data::Workload w = MakeWorkload(kCases[0]);
+  const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+  const std::vector<double> splits[] = {{1.0, 1.0, 1.0, 0.0},
+                                        {0.0, 0.0, 0.0, 1.0}};
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    for (Scheme scheme : {Scheme::kOffload, Scheme::kPipelined}) {
+      for (BackendKind backend :
+           {BackendKind::kSim, BackendKind::kThreadPool}) {
+        for (const std::vector<double>& ratios : splits) {
+          SCOPED_TRACE(std::string(AlgorithmName(algo)) + "/" +
+                       SchemeName(scheme) + "/" +
+                       exec::BackendKindName(backend) + "/b3 on " +
+                       (ratios[2] == 1.0 ? "cpu" : "gpu"));
+          simcl::SimContext ctx;
+          JoinSpec spec;
+          spec.algorithm = algo;
+          spec.scheme = scheme;
+          spec.engine.layout = HashLayout::kOpenAddressing;
+          spec.engine.shared_table = false;
+          spec.engine.backend = backend;
+          spec.engine.threads = 4;
+          spec.build_ratios = ratios;
+          auto report = ExecutePlan(&ctx, MakeSingleJoinPlan(w, spec));
+          ASSERT_TRUE(report.ok()) << report.status().ToString();
+          EXPECT_FALSE(report->overflowed);
+          EXPECT_EQ(report->matches, reference);
+        }
+      }
+    }
   }
 }
 

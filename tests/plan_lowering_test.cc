@@ -1,8 +1,8 @@
-// Plan lowering: (1) the legacy single-join entry points are now thin shims
-// over the plan pipeline, and a hand-built one-HashJoin PlanSpec must
-// reproduce their reports bit-identically — same matches, same virtual
-// elapsed time, same per-phase breakdown, same step series (names, ratios,
-// item splits) — across algorithms, schemes, layouts and table modes; and
+// Plan lowering: (1) MakeSingleJoinPlan's one-HashJoin lowering of a
+// workload and a hand-built one-HashJoin PlanSpec must produce bit-identical
+// reports — same matches, same virtual elapsed time, same per-phase
+// breakdown, same step series (names, ratios, item splits) — across
+// algorithms, schemes, layouts and table modes; and
 // (2) plan validation rejects every malformed tree with a real
 // InvalidArgument naming the node path, never an assert.
 
@@ -12,16 +12,11 @@
 #include <utility>
 #include <vector>
 
-#include "coproc/join_driver.h"
 #include "coproc/pipeline_runner.h"
 #include "data/generator.h"
 #include "exec/backend_kind.h"
 #include "plan/plan.h"
 #include "util/status.h"
-
-// The shims under test are deprecated on purpose; this file is their
-// remaining legitimate caller.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace apujoin::coproc {
 namespace {
@@ -99,9 +94,9 @@ const ParityCase kParityCases[] = {
      true},
 };
 
-// Every legacy fig-path shape must lower to the identical step series and
+// Every fig-path shape must lower to the identical step series and
 // report through a hand-built one-HashJoin PlanSpec.
-TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
+TEST(PlanLoweringParity, SingleJoinPlanMatchesHandBuiltPlan) {
   for (const ParityCase& c : kParityCases) {
     SCOPED_TRACE(c.name);
     const data::Workload w = MakeWorkload();
@@ -113,8 +108,8 @@ TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
     spec.engine.shared_table = c.shared_table;
 
     simcl::SimContext ctx_a;
-    auto legacy = ExecuteJoin(&ctx_a, w, spec);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    auto single = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
 
     PlanSpec plan;
     const int b = plan.graph.AddScan(&w.build);
@@ -128,8 +123,8 @@ TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
     auto planned = ExecutePlan(&ctx_b, plan);
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
 
-    ExpectReportsIdentical(*legacy, *planned);
-    EXPECT_EQ(legacy->matches, w.expected_matches);
+    ExpectReportsIdentical(*single, *planned);
+    EXPECT_EQ(single->matches, w.expected_matches);
     // The plan path additionally reports the one lowered operator.
     ASSERT_EQ(planned->operators.size(), 1u);
     EXPECT_EQ(planned->operators[0].kind, "join");
@@ -146,8 +141,8 @@ TEST(PlanLoweringParity, SkewedWorkloadMatches) {
   spec.scheme = Scheme::kPipelined;
 
   simcl::SimContext ctx_a;
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
+  auto single = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(single.ok());
 
   const PlanSpec plan = MakeSingleJoinPlan(w, spec);
   EXPECT_EQ(plan.expected_matches, w.expected_matches);
@@ -155,7 +150,7 @@ TEST(PlanLoweringParity, SkewedWorkloadMatches) {
   simcl::SimContext ctx_b;
   auto planned = ExecutePlan(&ctx_b, plan);
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*single, *planned);
 }
 
 // The emulated-discrete restrictions must carry over to the plan path.
@@ -169,12 +164,12 @@ TEST(PlanLoweringParity, DiscreteModeMatchesAndKeepsRestrictions) {
   spec.scheme = Scheme::kDataDivide;
 
   simcl::SimContext ctx_a(copts);
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
+  auto single = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(single.ok());
   simcl::SimContext ctx_b(copts);
   auto planned = ExecutePlan(&ctx_b, MakeSingleJoinPlan(w, spec));
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*single, *planned);
 
   spec.scheme = Scheme::kPipelined;
   simcl::SimContext ctx_c(copts);

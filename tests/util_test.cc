@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "util/env.h"
@@ -170,6 +171,17 @@ TEST(EmpiricalCdfTest, QuantilesAndCdf) {
   EXPECT_NEAR(cdf.Cdf(50), 0.5, 0.01);
   EXPECT_NEAR(cdf.Quantile(0.5), 50.5, 1.0);
   EXPECT_EQ(cdf.Points(10).size(), 11u);
+}
+
+// A quantile landing exactly on a sample returns that sample, even when
+// its neighbour is infinite (interpolating would yield inf * 0 = NaN).
+TEST(EmpiricalCdfTest, ExactQuantileNextToInfinity) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EmpiricalCdf cdf({1.0, 2.0, 3.0, inf});
+  EXPECT_EQ(cdf.Quantile(0.0), 1.0);
+  EXPECT_EQ(cdf.Quantile(2.0 / 3.0), 3.0);
+  EXPECT_EQ(cdf.Quantile(1.0), inf);
+  EXPECT_EQ(cdf.Quantile(5.0 / 6.0), inf);  // between 3 and inf
 }
 
 TEST(TablePrinterTest, FormatsNumbers) {
