@@ -6,10 +6,11 @@
 // core; set REPRO_FULL=1 for the paper's 16M-tuple scale, or REPRO_SCALE
 // for an arbitrary factor (CI smoke runs use REPRO_SCALE=0.01).
 //
-// Every binary accepts the shared harness flags (core/harness_flags.h):
-// --backend=sim|threads, --threads=N and --morsel=N select and shape the
-// execution backend, --tune=off|once|online the calibration feedback mode,
-// and --json=<path>
+// Every binary accepts the shared harness flags (core/harness_flags.h,
+// listed in core::kHarnessUsage): --backend, --threads, --morsel,
+// --stream, --layout, --prefetch-dist and --fuse select and shape the
+// execution backend, --tune=off|once|online the calibration feedback mode
+// (fig21_online_tuning only), and --json=<path>
 // writes a machine-readable run record next to the human tables — per-join
 // elapsed/estimated ns, per-step ns and item counts, plus any
 // bench-specific metrics — which CI uploads as the perf-trajectory
@@ -164,7 +165,7 @@ inline void InitBench(int argc, char** argv) {
 
 inline exec::BackendKind BenchBackend() { return g_flags.backend; }
 
-/// Stamps the selected backend (and tune mode) into a join spec.
+/// Stamps the selected execution flags into a join spec.
 inline void ApplyBackend(coproc::JoinSpec* spec) {
   core::ApplyHarnessFlags(g_flags, &spec->engine);
 }

@@ -5,14 +5,15 @@
 // the analytically instantiated cost table (Section 4.2); after each run
 // the measured per-step, per-device timings are folded into an EWMA table
 // that replaces the analytic unit costs, and the ratio optimizer re-runs
-// on it. On the thread-pool backend the tuned iterations also switch to
-// the serial-lane composition that actually describes a host pool.
+// on it.
 //
 // Shape targets: per-iteration join time is non-increasing once tuning
 // kicks in (iteration N <= iteration 1); ratio drift is large at iteration
 // 2 (analytic guesses -> measured optimum) and ~0 once converged; the
 // final unit-cost table shows measured values where the analytic model
 // guessed. Defaults to --tune=online; --tune=off shows the flat baseline.
+// Tuning runs on the sim backend only: with tuning on, --backend=threads
+// prints the tuner's InvalidArgument and exits 2.
 
 #include <cmath>
 
@@ -52,7 +53,6 @@ void Run() {
   spec.algorithm = coproc::Algorithm::kSHJ;
   spec.scheme = coproc::Scheme::kPipelined;
   ApplyBackend(&spec);
-  spec.engine.tune = mode;
   std::printf("tune: %s\n\n", cost::TuneModeName(mode));
 
   coproc::RatioTuner tuner(mode);
@@ -62,7 +62,11 @@ void Run() {
   coproc::JoinReport first;
   coproc::JoinReport last;
   for (int i = 1; i <= kIterations; ++i) {
-    tuner.Prepare(&spec);
+    const Status prepared = tuner.Prepare(&spec);
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "%s\n", prepared.ToString().c_str());
+      std::exit(2);
+    }
     auto report =
         coproc::ExecutePlan(backend, coproc::MakeSingleJoinPlan(w, spec));
     APU_CHECK_OK(report.status());

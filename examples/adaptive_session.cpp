@@ -1,13 +1,13 @@
 // Adaptive join session: the same query arriving over and over — the
 // serving shape every multi-query deployment has — converges from
-// analytic-guess CPU/GPU ratios to hardware-true ones.
+// analytic-guess CPU/GPU ratios to measured-cost ones on the simulator.
 //
 // A CoupledJoiner with tune != off closes the loop automatically: each
 // Join() folds its measured per-step timings into the session's
 // OnlineCalibrator, and the next Join() re-optimizes its ratios on the
-// measured table (on real backends with the serial-lane composition a
-// host thread pool actually has). Run with --backend=threads to watch
-// wall-clock times settle; --tune=off restores the static baseline.
+// measured table. --tune=off restores the static baseline. Tuning is a
+// sim-backend feature: with tuning on, --backend=threads prints the
+// joiner's InvalidArgument and exits 2.
 
 #include <cstdio>
 #include <cstring>
@@ -20,8 +20,11 @@ int main(int argc, char** argv) {
   using namespace apujoin;
 
   join::EngineOptions engine;
-  engine.tune = cost::TuneMode::kOnline;  // this example's point
-  examples::ApplyBackendFlags(argc, argv, &engine);
+  const core::HarnessFlags flags =
+      examples::ApplyBackendFlags(argc, argv, &engine);
+  // Online tuning is this example's point.
+  const cost::TuneMode tune =
+      flags.tune_set ? flags.tune : cost::TuneMode::kOnline;
   // Positional sizes: adaptive_session [R] [S].
   uint64_t sizes[2] = {1ull << 20, 4ull << 20};
   int pos = 0;
@@ -42,18 +45,22 @@ int main(int argc, char** argv) {
   config.spec.algorithm = coproc::Algorithm::kSHJ;
   config.spec.scheme = coproc::Scheme::kPipelined;
   config.spec.engine = engine;
+  config.tune = tune;
   core::CoupledJoiner joiner(config);
 
   std::printf("session of 8 identical skewed joins, backend=%s tune=%s\n\n",
               exec::BackendKindName(engine.backend),
-              cost::TuneModeName(engine.tune));
+              cost::TuneModeName(tune));
   TablePrinter table({"query", "time(s)", "estimate(s)", "p1 cpu%",
                       "p3 cpu%", "p4 cpu%"});
   double first_ns = 0.0;
   double last_ns = 0.0;
   for (int q = 1; q <= 8; ++q) {
     auto report = joiner.Join(*workload);
-    APU_CHECK_OK(report.status());
+    if (!report.ok()) {
+      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+      return 2;
+    }
     APU_CHECK(report->matches == workload->expected_matches);
     const auto& pr = report->probe_ratios;
     table.AddRow({std::to_string(q), TablePrinter::Fmt(report->elapsed_sec(), 3),

@@ -1,9 +1,9 @@
 // Shared flag parsing for the examples: every example accepts the common
-// harness flags (core/harness_flags.h) — --backend=sim|threads,
-// --threads=N, --tune=off|once|online — mirroring the bench harness, and
-// passes positional arguments through for the example to consume. The
-// parsing itself lives in core::ParseHarnessArg; this wrapper only adds
-// the examples' pass-through policy.
+// harness flags (core/harness_flags.h, listed in core::kHarnessUsage),
+// mirroring the bench harness, and passes positional arguments through for
+// the example to consume. The parsing itself lives in
+// core::ParseHarnessArg; this wrapper only adds the examples' pass-through
+// policy.
 
 #ifndef APUJOIN_EXAMPLES_EXAMPLE_COMMON_H_
 #define APUJOIN_EXAMPLES_EXAMPLE_COMMON_H_
@@ -28,11 +28,7 @@ inline core::HarnessFlags ParseFlags(int argc, char** argv) {
       case core::HarnessArg::kInvalid:
         std::exit(2);
       case core::HarnessArg::kUnknownFlag:
-        std::fprintf(stderr,
-                     "usage: %s [--backend=sim|threads] [--threads=N] "
-                     "[--morsel=N] [--stream=serial|pipelined] "
-                     "[--tune=off|once|online]\n",
-                     argv[0]);
+        std::fprintf(stderr, "usage: %s %s\n", argv[0], core::kHarnessUsage);
         std::exit(2);
     }
   }
@@ -47,9 +43,10 @@ inline core::HarnessFlags ParseFlags(int argc, char** argv) {
 }
 
 /// Applies the shared flags to `engine`, preserving the examples' historic
-/// one-call surface.
-inline void ApplyBackendFlags(int argc, char** argv,
-                              join::EngineOptions* engine) {
+/// one-call surface. Returns the parsed flags for the ones the engine has
+/// no field for (--tune).
+inline core::HarnessFlags ApplyBackendFlags(int argc, char** argv,
+                                            join::EngineOptions* engine) {
   // An example may pre-set its own defaults (e.g. join_server defaults to
   // the threads backend); flags only override what was given explicitly.
   const join::EngineOptions defaults = *engine;
@@ -59,7 +56,7 @@ inline void ApplyBackendFlags(int argc, char** argv,
   if (!flags.threads_set) engine->threads = defaults.threads;
   if (!flags.morsel_set) engine->morsel_items = defaults.morsel_items;
   if (!flags.stream_set) engine->stream = defaults.stream;
-  if (!flags.tune_set) engine->tune = defaults.tune;
+  return flags;
 }
 
 }  // namespace apujoin::examples

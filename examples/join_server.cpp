@@ -4,14 +4,11 @@
 // Four clients share a thread-pool substrate through fair-share session
 // leases: one analytics client streams PHJ joins over a bigger relation
 // pair while three OLTP-ish clients hammer small SHJ joins with different
-// skew, each session tuning its own ratios online and publishing measured
-// unit costs into the service-wide cost table. The example also shows the
-// two admission-control surfaces returning real errors: opening a fifth
-// session beyond max_sessions, and a submission burst overflowing the
-// bounded request queue.
+// skew. The example also shows the two admission-control surfaces
+// returning real errors: opening a fifth session beyond max_sessions, and
+// a submission burst overflowing the bounded request queue.
 //
-// Flags: --backend=sim|threads (default threads), --threads=N pool size,
-// --tune=off|once|online (default online).
+// Flags: --backend=sim|threads (default threads), --threads=N pool size.
 
 #include <cstdio>
 #include <thread>
@@ -70,7 +67,6 @@ void RunClient(service::Session* session, const data::Workload& w,
 int main(int argc, char** argv) {
   join::EngineOptions engine;
   engine.backend = exec::BackendKind::kThreadPool;
-  engine.tune = cost::TuneMode::kOnline;
   examples::ApplyBackendFlags(argc, argv, &engine);
 
   service::ServiceOptions sopts;
@@ -82,10 +78,9 @@ int main(int argc, char** argv) {
   service::JoinService svc(sopts);
 
   std::printf("join server: backend=%s, %d worker slots, max %d sessions, "
-              "queue %d, tune=%s\n\n",
+              "queue %d\n\n",
               exec::BackendKindName(sopts.exec.backend), svc.capacity(),
-              sopts.max_sessions, sopts.queue_capacity,
-              cost::TuneModeName(engine.tune));
+              sopts.max_sessions, sopts.queue_capacity);
 
   // One analytics session (PHJ, bigger relations, quota 2) + three OLTP
   // sessions (small SHJ, different skew, quota 1 each).
@@ -171,9 +166,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.joins_failed),
               static_cast<unsigned long long>(stats.submissions_rejected),
               static_cast<unsigned long long>(stats.sessions_rejected));
-  std::printf("service-wide cost table: %zu step kinds measured across "
-              "sessions\n",
-              svc.shared_cost_steps());
   sessions.clear();  // close sessions before the service
   return 0;
 }

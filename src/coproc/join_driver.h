@@ -54,16 +54,8 @@ struct JoinSpec {
   /// Measured per-item unit costs from previous runs (owned by the caller,
   /// e.g. a RatioTuner). When set, entries with measurements replace their
   /// analytic counterparts before ratio optimization, so the optimizers run
-  /// on hardware-true numbers. Null = analytic calibration only.
+  /// on measured numbers. Null = analytic calibration only.
   const cost::OnlineCalibrator* measured_costs = nullptr;
-
-  /// Pool of measured unit costs shared across sessions (the join service's
-  /// service-wide cost table). Applied *under* measured_costs: shared
-  /// measurements replace analytic guesses, and the session's own
-  /// measurements replace both — so a cold session starts from what the
-  /// hardware told its neighbours, then converges on its own workload.
-  /// Owned by the caller; null = no cross-session seeding.
-  const cost::OnlineCalibrator* shared_costs = nullptr;
 
   /// Bound on bytes staged in flight by the pipelined out-of-core executor
   /// (the chunk being partitioned plus the chunk being prefetched); 0 =

@@ -116,15 +116,10 @@ struct Driver {
   /// Calibrates a step series analytically, then overlays measured unit
   /// costs from previous runs when the caller supplied a table — the
   /// feedback loop that lets the ratio optimizers converge from analytic
-  /// guesses to hardware-true costs over repeated joins.
+  /// guesses to measured costs over repeated joins.
   cost::StepCosts Calibrate(const std::vector<StepDef>& steps,
                             const cost::WorkloadStats& stats) const {
     cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-    // Cross-session measurements first, the session's own on top: the
-    // session overrides the pool wherever it has run the step itself.
-    if (spec.shared_costs != nullptr) {
-      costs = spec.shared_costs->Refine(costs);
-    }
     if (spec.measured_costs != nullptr) {
       costs = spec.measured_costs->Refine(costs);
     }

@@ -3,7 +3,7 @@
 namespace apujoin::core {
 
 CoupledJoiner::CoupledJoiner(JoinConfig config)
-    : config_(std::move(config)), tuner_(config_.spec.engine.tune) {
+    : config_(std::move(config)), tuner_(config_.tune) {
   ctx_ = std::make_unique<simcl::SimContext>(config_.context);
   backend_ =
       exec::MakeBackend(config_.spec.engine.backend, ctx_.get(),
@@ -13,9 +13,9 @@ CoupledJoiner::CoupledJoiner(JoinConfig config)
 
 CoupledJoiner::CoupledJoiner(JoinConfig config, exec::Backend* substrate,
                              int slots)
-    : config_(std::move(config)), tuner_(config_.spec.engine.tune) {
+    : config_(std::move(config)), tuner_(config_.tune) {
   // Planning must describe the substrate that actually executes; a spec
-  // asking for a different backend kind would mis-tune the lease.
+  // asking for a different backend kind would mis-plan the lease.
   config_.spec.engine.backend = substrate->kind();
   ctx_ = std::make_unique<simcl::SimContext>(config_.context);
   backend_ = substrate->Lease(ctx_.get(), slots);
@@ -24,7 +24,7 @@ CoupledJoiner::CoupledJoiner(JoinConfig config, exec::Backend* substrate,
 apujoin::StatusOr<coproc::JoinReport> CoupledJoiner::RunTuned(
     const data::Workload& workload) {
   coproc::JoinSpec spec = config_.spec;
-  tuner_.Prepare(&spec);
+  APU_RETURN_IF_ERROR(tuner_.Prepare(&spec));
   auto report =
       coproc::ExecutePlan(backend_.get(),
                           coproc::MakeSingleJoinPlan(workload, spec));
@@ -38,7 +38,7 @@ apujoin::StatusOr<coproc::JoinReport> CoupledJoiner::RunPlan(
   // Planning must describe the substrate that actually executes (same rule
   // as the leased constructor).
   run.exec.engine.backend = backend_->kind();
-  tuner_.Prepare(&run.exec);
+  APU_RETURN_IF_ERROR(tuner_.Prepare(&run.exec));
   auto report = coproc::ExecutePlan(backend_.get(), run);
   if (report.ok()) tuner_.Absorb(*report);
   return report;

@@ -36,6 +36,10 @@ namespace apujoin::core {
 struct JoinConfig {
   simcl::ContextOptions context;  ///< platform (devices, memory, arch mode)
   coproc::JoinSpec spec;          ///< algorithm, scheme, engine, backend
+  /// Measurement feedback into calibration across this joiner's runs
+  /// (--tune=off|once|online). Sim backend only: Join and RunPlan return
+  /// InvalidArgument when it is on and the backend is a real one.
+  cost::TuneMode tune = cost::TuneMode::kOff;
 };
 
 /// High-level join runner. Not thread-safe; one instance per stream of
@@ -45,9 +49,9 @@ struct JoinConfig {
 /// constructed over a shared substrate it schedules through a
 /// partial-capacity lease (its worker-slot quota) instead of an
 /// exclusively-owned backend, while keeping everything per-session — the
-/// machine model, the ratio tuner, the calibration state. Many leased
-/// joiners may run concurrently on one substrate; each individual joiner
-/// stays single-caller.
+/// machine model and the calibration state. Many leased joiners may run
+/// concurrently on one substrate; each individual joiner stays
+/// single-caller.
 class CoupledJoiner {
  public:
   CoupledJoiner() : CoupledJoiner(JoinConfig()) {}
@@ -71,6 +75,8 @@ class CoupledJoiner {
   /// on this joiner's backend. The plan's own execution knobs apply, except
   /// the backend kind, which is overridden to this joiner's substrate; the
   /// session's ratio tuner wraps the run exactly as it wraps Join().
+  /// Join and RunPlan return InvalidArgument when tuning is on and the
+  /// backend is not the simulator.
   apujoin::StatusOr<coproc::JoinReport> RunPlan(const coproc::PlanSpec& plan);
 
   /// Runs the coarse-grained PHJ-PL' variant (Section 3.3 / Table 3).
@@ -87,19 +93,12 @@ class CoupledJoiner {
   /// constructor).
   exec::Backend& backend() { return *backend_; }
   const exec::Backend& backend() const { return *backend_; }
-  /// The session's measurement-feedback loop (active when
-  /// `spec.engine.tune` != kOff): each Join absorbs measured step timings
-  /// and the next Join runs with ratios re-optimized on them.
-  coproc::RatioTuner& tuner() { return tuner_; }
+  /// The session's measurement-feedback loop (active when `config.tune` !=
+  /// kOff, sim backend only): each Join absorbs measured step timings and
+  /// the next Join runs with ratios re-optimized on them.
+  const coproc::RatioTuner& tuner() const { return tuner_; }
   const JoinConfig& config() const { return config_; }
   coproc::JoinSpec& spec() { return config_.spec; }
-
-  /// Attaches a cross-session measured-cost table (see
-  /// coproc::RatioTuner::set_shared_costs); the join service points this at
-  /// a per-session snapshot of its service-wide table.
-  void set_shared_costs(const cost::OnlineCalibrator* shared) {
-    tuner_.set_shared_costs(shared);
-  }
 
  private:
   /// Applies tuning feedback around one driver invocation.

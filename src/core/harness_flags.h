@@ -1,6 +1,5 @@
 // Shared command-line surface of the harness binaries. Every bench and
-// example accepts the same five flags — --backend=sim|threads, --threads=N,
-// --morsel=N, --tune=off|once|online, --json=<path> — and before this
+// example accepts the flags listed in kHarnessUsage below, and before this
 // header each harness carried its own copy of the parsing loop. One
 // parser, two front-ends: bench/bench_common.h (strict: no positionals)
 // and examples/example_common.h (positionals pass through).
@@ -27,7 +26,7 @@ struct HarnessFlags {
   exec::HashLayout layout = exec::HashLayout::kChained;  ///< --layout
   unsigned prefetch_dist = 16;             ///< --prefetch-dist (0 = off)
   exec::FuseMode fuse = exec::FuseMode::kAuto;  ///< --fuse
-  cost::TuneMode tune = cost::TuneMode::kOff;
+  cost::TuneMode tune = cost::TuneMode::kOff;   ///< --tune
   bool backend_set = false;                ///< --backend given explicitly
   bool threads_set = false;                ///< --threads given explicitly
   bool morsel_set = false;                 ///< --morsel given explicitly
@@ -155,7 +154,8 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
                                          : HarnessArg::kPositional;
 }
 
-/// Stamps the parsed backend/tune selection into engine options.
+/// Stamps the parsed execution flags into engine options (all but --tune
+/// and --json, which the engine has no field for).
 inline void ApplyHarnessFlags(const HarnessFlags& flags,
                               join::EngineOptions* engine) {
   engine->backend = flags.backend;
@@ -165,7 +165,6 @@ inline void ApplyHarnessFlags(const HarnessFlags& flags,
   engine->layout = flags.layout;
   engine->prefetch_dist = flags.prefetch_dist;
   engine->fuse = flags.fuse;
-  engine->tune = flags.tune;
 }
 
 }  // namespace apujoin::core

@@ -21,21 +21,16 @@ bool ParseTuneMode(const char* text, TuneMode* out) {
   return false;
 }
 
-OnlineCalibrator::OnlineCalibrator(OnlineCalibratorOptions opts)
-    : opts_(opts) {
-  if (opts_.alpha <= 0.0 || opts_.alpha > 1.0) opts_.alpha = 0.5;
-}
-
 void OnlineCalibrator::Observe(const std::string& step, simcl::DeviceId dev,
                                uint64_t items, double elapsed_ns) {
-  if (items < opts_.min_slice_items || elapsed_ns <= 0.0) return;
+  if (items < kMinSliceItems || elapsed_ns <= 0.0) return;
   const double sample = elapsed_ns / static_cast<double>(items);
   Entry& e = table_[step];
   const int d = static_cast<int>(dev);
   if (e.samples[d] == 0) {
     e.unit_ns[d] = sample;
   } else {
-    e.unit_ns[d] = opts_.alpha * sample + (1.0 - opts_.alpha) * e.unit_ns[d];
+    e.unit_ns[d] = kAlpha * sample + (1.0 - kAlpha) * e.unit_ns[d];
   }
   ++e.samples[d];
 }

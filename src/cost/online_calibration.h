@@ -1,17 +1,16 @@
 // Online (measurement-driven) calibration — closing the feedback loop of
-// Section 4.2 against *real* execution.
+// Section 4.2 against executed runs.
 //
 // CalibrateSeries instantiates the cost model analytically: it evaluates the
 // device model at expected workload statistics. That is the only option
-// before a join has run, but once a backend has executed a step series the
-// measured per-step, per-device timings are strictly better information —
-// they fold in everything the analytic table guesses at (divergence, skew,
-// allocator traffic, and on real backends the actual hardware). The
-// OnlineCalibrator turns those measurements into per-item unit costs, keeps
-// an EWMA over repeated runs, and can overlay ("refine") an analytic
-// StepCosts table so the paper's ratio optimizers re-run on hardware-true
-// numbers. This mirrors how follow-on systems re-split CPU/GPU work from
-// observed device throughput.
+// before a join has run, but once the simulator has executed a step series
+// the measured per-step, per-device timings are better information — they
+// fold in what the analytic table only guesses at (divergence, skew,
+// allocator traffic). The OnlineCalibrator turns those measurements into
+// per-item unit costs, keeps an EWMA over repeated runs, and can overlay
+// ("refine") an analytic StepCosts table so the paper's ratio optimizers
+// re-run on measured numbers. coproc::RatioTuner drives it; tuning is a
+// sim-backend feature (see coproc/ratio_tuner.h).
 
 #ifndef APUJOIN_COST_ONLINE_CALIBRATION_H_
 #define APUJOIN_COST_ONLINE_CALIBRATION_H_
@@ -47,15 +46,6 @@ inline const char* TuneModeName(TuneMode m) {
 /// and leaves `*out` untouched on anything else.
 bool ParseTuneMode(const char* text, TuneMode* out);
 
-/// Knobs of the measured-cost table.
-struct OnlineCalibratorOptions {
-  /// EWMA weight of the newest sample, in (0,1]. 1.0 = always replace.
-  double alpha = 0.5;
-  /// Device slices smaller than this are ignored: their measured time is
-  /// dominated by per-launch overhead, not per-item cost.
-  uint64_t min_slice_items = 64;
-};
-
 /// Per-step, per-device measured unit costs (EWMA over runs).
 ///
 /// Keys are step names ("b1".."b4", "p1".."p4", "n1".."n3") — the same
@@ -63,10 +53,14 @@ struct OnlineCalibratorOptions {
 /// replace its analytic counterpart one-for-one.
 class OnlineCalibrator {
  public:
-  explicit OnlineCalibrator(OnlineCalibratorOptions opts = {});
+  /// EWMA weight of the newest sample.
+  static constexpr double kAlpha = 0.5;
+  /// Device slices smaller than this are ignored: their measured time is
+  /// dominated by per-launch overhead, not per-item cost.
+  static constexpr uint64_t kMinSliceItems = 64;
 
   /// Folds one measured device slice of `step` into the table: `items`
-  /// executed in `elapsed_ns`. Slices below min_slice_items (or with
+  /// executed in `elapsed_ns`. Slices below kMinSliceItems (or with
   /// non-positive time) are ignored.
   void Observe(const std::string& step, simcl::DeviceId dev, uint64_t items,
                double elapsed_ns);
@@ -86,12 +80,10 @@ class OnlineCalibrator {
 
   /// Overlays measurements onto an analytic table: every entry with a
   /// measured unit cost on a device has that device's analytic cost
-  /// replaced; unmeasured slots keep the analytic value. This is the
-  /// seed/replace point: optimizers consuming the result run on
-  /// hardware-true numbers wherever the hardware has spoken.
+  /// replaced; unmeasured slots keep the analytic value. Optimizers
+  /// consuming the result run on measured numbers wherever a run has
+  /// measured them.
   StepCosts Refine(const StepCosts& analytic) const;
-
-  void Clear() { table_.clear(); }
 
  private:
   struct Entry {
@@ -99,7 +91,6 @@ class OnlineCalibrator {
     uint64_t samples[simcl::kNumDevices] = {0, 0};
   };
 
-  OnlineCalibratorOptions opts_;
   std::map<std::string, Entry> table_;
 };
 

@@ -86,35 +86,6 @@ RatioPlan OptimizeOffloading(const StepCosts& costs, uint64_t n,
   return best;
 }
 
-RatioPlan OptimizeSerial(const StepCosts& costs, uint64_t n,
-                         bool single_ratio) {
-  const double items = static_cast<double>(n);
-  RatioPlan best;
-  best.ratios.assign(costs.size(), 0.0);
-  if (single_ratio) {
-    // Series time is linear in the single ratio, so the optimum is at an
-    // endpoint: the device with the cheaper whole-series unit cost.
-    double cpu = 0.0;
-    double gpu = 0.0;
-    for (const StepCost& c : costs) {
-      cpu += c.cpu_ns_per_item;
-      gpu += c.gpu_ns_per_item;
-    }
-    const double r = cpu <= gpu ? 1.0 : 0.0;
-    best.ratios.assign(costs.size(), r);
-    best.predicted_ns = items * std::min(cpu, gpu);
-    return best;
-  }
-  best.predicted_ns = 0.0;
-  for (size_t i = 0; i < costs.size(); ++i) {
-    const double cpu = costs[i].cpu_ns_per_item;
-    const double gpu = costs[i].gpu_ns_per_item;
-    best.ratios[i] = cpu <= gpu ? 1.0 : 0.0;
-    best.predicted_ns += items * std::min(cpu, gpu);
-  }
-  return best;
-}
-
 RatioPlan OptimizePipelined(const StepCosts& costs, uint64_t n,
                             const CommSpec& comm, double delta) {
   const size_t steps = costs.size();

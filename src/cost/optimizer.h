@@ -5,6 +5,11 @@
 // ratio; OL constrains each ratio to {0, 1}; PL searches per-step ratios
 // (exhaustive for short series, coordinate descent with restarts for longer
 // ones — the model is cheap, the space is smooth).
+//
+// Every optimizer prices a series with EstimateSeries: both devices run at
+// the same time and unlike neighbouring steps pay the pipelined delay. That
+// is the machine the simulator executes, so the plans (and measured-cost
+// re-plans, see coproc/ratio_tuner.h) are meaningful there.
 
 #ifndef APUJOIN_COST_OPTIMIZER_H_
 #define APUJOIN_COST_OPTIMIZER_H_
@@ -40,15 +45,6 @@ RatioPlan OptimizeOffloading(const StepCosts& costs, uint64_t n,
 RatioPlan OptimizePipelined(const StepCosts& costs, uint64_t n,
                             const CommSpec& comm = CommSpec(),
                             double delta = kDefaultDelta);
-
-/// Serial-lane composition: on real execution backends the two logical
-/// devices are lanes of one host pool executed back-to-back, so series time
-/// is the *sum* of lane times (no concurrent overlap, no pipelined delay)
-/// and the optimum runs each step wholly on its cheaper device. With
-/// `single_ratio` the whole series is constrained to one ratio (DD), which
-/// under a linear objective is also an endpoint in {0,1}.
-RatioPlan OptimizeSerial(const StepCosts& costs, uint64_t n,
-                         bool single_ratio = false);
 
 }  // namespace apujoin::cost
 

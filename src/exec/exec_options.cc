@@ -59,16 +59,6 @@ apujoin::Status ExecOptions::Validate() const {
           "ExecOptions::fuse is not a known FuseMode (" +
           std::to_string(static_cast<int>(fuse)) + ")");
   }
-  switch (tune) {
-    case cost::TuneMode::kOff:
-    case cost::TuneMode::kOnce:
-    case cost::TuneMode::kOnline:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "ExecOptions::tune is not a known TuneMode (" +
-          std::to_string(static_cast<int>(tune)) + ")");
-  }
   return Status::OK();
 }
 

@@ -1,7 +1,7 @@
 // ExecOptions — the one struct that names an execution substrate.
 //
 // Before it existed the same knobs (backend kind, worker count, morsel
-// granularity, hash layout, streaming policy, tune mode) were duplicated
+// granularity, hash layout, streaming policy, fusion policy) were duplicated
 // across join::EngineOptions, service::ServiceOptions and
 // exec::ThreadPoolOptions, each copy with its own ad-hoc range checks.
 // Now every layer embeds (EngineOptions, ThreadPoolOptions inherit;
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "cost/online_calibration.h"
 #include "exec/backend_kind.h"
 #include "util/status.h"
 
@@ -50,8 +49,6 @@ struct ExecOptions {
   /// Select→HashJoin and HashJoin→GroupBy edges where no consumer needs
   /// the intermediate copy. Single-operator plans are identical either way.
   FuseMode fuse = FuseMode::kAuto;
-  /// Measurement feedback into calibration (--tune=off|once|online).
-  cost::TuneMode tune = cost::TuneMode::kOff;
 
   /// Range-checks every knob (worker count, morsel and prefetch bounds,
   /// enum values that may have been cast from untrusted integers). Returns

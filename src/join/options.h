@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "alloc/allocator.h"
-#include "cost/online_calibration.h"
 #include "exec/backend_kind.h"
 #include "exec/exec_options.h"
 
@@ -30,7 +29,7 @@ enum class SimdPolicy {
 /// to (optimized allocator, 2 KB blocks, shared hash table).
 ///
 /// The execution-substrate knobs (backend, threads, morsel_items, layout,
-/// prefetch_dist, stream, tune) live in the inherited exec::ExecOptions —
+/// prefetch_dist, stream, fuse) live in the inherited exec::ExecOptions —
 /// the one struct every layer shares — so `engine.backend` etc. keep
 /// working while service and pool options embed the identical fields.
 struct EngineOptions : exec::ExecOptions {

@@ -78,11 +78,6 @@ ServiceStats JoinService::stats() const {
   return stats_;
 }
 
-size_t JoinService::shared_cost_steps() const {
-  annotated::MutexLock lock(mu_);
-  return shared_costs_.size();
-}
-
 StatusOr<std::unique_ptr<Session>> JoinService::OpenSession(
     SessionOptions opts) {
   // The session's engine knobs go through the same single validation the
@@ -149,23 +144,6 @@ bool JoinService::TryAcquireQueueSlot() {
 void JoinService::CloseSession() {
   annotated::MutexLock lock(mu_);
   --open_sessions_;
-}
-
-void JoinService::AbsorbShared(const coproc::JoinReport& report) {
-  annotated::MutexLock lock(mu_);
-  for (const coproc::StepReport& s : report.steps) {
-    // Contention-free measured time, mirroring RatioTuner::Absorb: the
-    // modelled share on the sim backend, full wall clock on real ones.
-    shared_costs_.Observe(s.name, simcl::DeviceId::kCpu, s.cpu_items,
-                          s.cpu_modeled_ns);
-    shared_costs_.Observe(s.name, simcl::DeviceId::kGpu, s.gpu_items,
-                          s.gpu_modeled_ns);
-  }
-}
-
-void JoinService::SnapshotShared(cost::OnlineCalibrator* out) const {
-  annotated::MutexLock lock(mu_);
-  *out = shared_costs_;
 }
 
 void JoinService::CountJoin(bool ok) {
@@ -270,23 +248,9 @@ void Session::RunnerLoop() {
 }
 
 void Session::RunOne(JoinTicket::State* req) {
-  if (service_->options().share_costs &&
-      joiner_.tuner().mode() != cost::TuneMode::kOff) {
-    // Refresh this session's snapshot of the service-wide table; the
-    // planner reads the snapshot lock-free while neighbours keep
-    // publishing into the live table. Untuned sessions plan analytically
-    // and never read shared costs, so don't pay the copy (they still
-    // publish their measurements below).
-    service_->SnapshotShared(&shared_snapshot_);
-    joiner_.set_shared_costs(shared_snapshot_.empty() ? nullptr
-                                                      : &shared_snapshot_);
-  }
   auto report = req->plan != nullptr ? joiner_.RunPlan(*req->plan)
                                      : joiner_.Join(*req->workload);
   service_->CountJoin(report.ok());
-  if (report.ok() && service_->options().share_costs) {
-    service_->AbsorbShared(*report);
-  }
   // Free the queue slot before publishing the result: a client that
   // Take()s and immediately resubmits must find the capacity its finished
   // request no longer occupies.

@@ -12,11 +12,10 @@
 //   * admission control is explicit: opening a session beyond max_sessions
 //     and submitting beyond the bounded request queue both fail with a
 //     real ResourceExhausted Status instead of queuing unboundedly;
-//   * tuning state is per-session — each session owns a CoupledJoiner
-//     (machine model + lease + RatioTuner), so each workload converges to
-//     its own ratios — while measured unit costs are pooled in a
-//     service-wide cost table that seeds cold sessions with what the
-//     hardware already told their neighbours.
+//   * per-session state stays per-session — each session owns a
+//     CoupledJoiner (machine model + lease). Sessions do not tune their
+//     ratios: measurement-driven tuning is a sim-only CoupledJoiner feature
+//     (coproc/ratio_tuner.h), and a service exists to multiplex real cores.
 //
 // Threading model: a session's requests execute serially on the session's
 // own runner thread (per-session state is single-caller by design); any
@@ -35,7 +34,6 @@
 #include <thread>
 
 #include "core/coupled_joiner.h"
-#include "cost/online_calibration.h"
 #include "exec/exec_options.h"
 #include "util/annotated_mutex.h"
 #include "util/status.h"
@@ -70,9 +68,6 @@ struct ServiceOptions {
   /// Bound on requests queued or running service-wide; Submit beyond it
   /// returns ResourceExhausted (backpressure, not unbounded memory).
   int queue_capacity = 64;
-  /// Pool measured unit costs across sessions (the service-wide cost
-  /// table). Sessions still keep their own tables on top.
-  bool share_costs = true;
 };
 
 /// Per-session configuration.
@@ -153,8 +148,6 @@ class JoinService {
   int pending() const { return pending_.load(std::memory_order_relaxed); }
   ServiceStats stats() const;
   const ServiceOptions& options() const { return opts_; }
-  /// Step kinds with at least one measurement in the service-wide table.
-  size_t shared_cost_steps() const;
   exec::Backend& substrate() { return *substrate_; }
 
  private:
@@ -166,10 +159,6 @@ class JoinService {
     pending_.fetch_sub(1, std::memory_order_relaxed);
   }
   void CloseSession();
-  void AbsorbShared(const coproc::JoinReport& report);
-  /// Copies the service-wide table into `out` (a session-private snapshot
-  /// the planner can read without holding the service lock).
-  void SnapshotShared(cost::OnlineCalibrator* out) const;
   void CountJoin(bool ok);
 
   ServiceOptions opts_;
@@ -180,7 +169,6 @@ class JoinService {
   std::unique_ptr<exec::Backend> substrate_;
 
   mutable annotated::Mutex mu_;
-  cost::OnlineCalibrator shared_costs_ GUARDED_BY(mu_);
   ServiceStats stats_ GUARDED_BY(mu_);
   int open_sessions_ GUARDED_BY(mu_) = 0;
   int next_session_id_ GUARDED_BY(mu_) = 1;
@@ -213,7 +201,7 @@ class Session {
   /// Submit + Take: one synchronous join through the session's queue.
   apujoin::StatusOr<coproc::JoinReport> Join(const data::Workload& workload);
 
-  /// The session's per-session state: lease, machine model, ratio tuner.
+  /// The session's per-session state: lease and machine model.
   /// Single-caller — do not drive it while submitted requests are pending.
   core::CoupledJoiner& joiner() { return joiner_; }
   /// Worker-slot quota of this session's lease.
@@ -240,9 +228,6 @@ class Session {
   const int id_;
   const int slots_;
   core::CoupledJoiner joiner_;
-  /// Session-private snapshot of the service-wide cost table, refreshed
-  /// before each run (the planner reads it lock-free).
-  cost::OnlineCalibrator shared_snapshot_;
 
   annotated::Mutex mu_;
   annotated::CondVar cv_;

@@ -1,15 +1,13 @@
 // Unit tests for the join service: admission control and queue bounds
 // surface real Status errors, fair-share quotas bound worker occupancy on
-// the shared pool, tuner state stays per-session, the service-wide cost
-// table seeds planning, and concurrent sim-backend sessions stay
-// bit-identical to solo runs.
+// the shared pool, and concurrent sim-backend sessions stay bit-identical
+// to solo runs.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "coproc/pipeline_runner.h"
-#include "coproc/ratio_tuner.h"
 #include "exec/thread_pool_backend.h"
 #include "util/perf_asserts.h"
 #include "service/join_service.h"
@@ -31,11 +29,10 @@ data::Workload MakeWorkload(uint64_t build, uint64_t probe,
   return std::move(w).value();
 }
 
-SessionOptions ShjSession(cost::TuneMode tune = cost::TuneMode::kOff) {
+SessionOptions ShjSession() {
   SessionOptions opts;
   opts.spec.algorithm = coproc::Algorithm::kSHJ;
   opts.spec.scheme = coproc::Scheme::kPipelined;
-  opts.spec.engine.tune = tune;
   return opts;
 }
 
@@ -205,106 +202,6 @@ TEST(JoinServiceTest, DefaultSlotsClampToCapacity) {
   EXPECT_EQ((*session)->slots(), 2);
 }
 
-TEST(JoinServiceTest, PerSessionTunerStateIsIsolated) {
-  ServiceOptions opts;
-  opts.exec.backend = exec::BackendKind::kSim;
-  opts.share_costs = false;
-  JoinService service(opts);
-
-  auto a = service.OpenSession(ShjSession(cost::TuneMode::kOnline));
-  auto b = service.OpenSession(ShjSession(cost::TuneMode::kOnline));
-  auto c = service.OpenSession(ShjSession(cost::TuneMode::kOff));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(c.ok());
-
-  const data::Workload wa =
-      MakeWorkload(1 << 14, 1 << 16, data::Distribution::kHighSkew);
-  const data::Workload wb = MakeWorkload(1 << 14, 1 << 16);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*a)->Join(wa).ok());
-  }
-  ASSERT_TRUE((*b)->Join(wb).ok());
-  ASSERT_TRUE((*c)->Join(wb).ok());
-
-  EXPECT_EQ((*a)->joiner().tuner().runs(), 3);
-  EXPECT_EQ((*b)->joiner().tuner().runs(), 1);
-  EXPECT_EQ((*c)->joiner().tuner().runs(), 0);
-
-  // No cross-talk: B absorbed exactly its own single run — had A's three
-  // runs leaked in, some step/device would show more observations — and
-  // the untuned C absorbed nothing at all.
-  const cost::OnlineCalibrator& cb = (*b)->joiner().tuner().calibrator();
-  EXPECT_GT(cb.size(), 0u);
-  for (const char* step : {"b1", "b2", "b3", "b4", "p1", "p2", "p3", "p4"}) {
-    EXPECT_LE(cb.observations(step, simcl::DeviceId::kCpu), 1u) << step;
-    EXPECT_LE(cb.observations(step, simcl::DeviceId::kGpu), 1u) << step;
-  }
-  EXPECT_TRUE((*c)->joiner().tuner().calibrator().empty());
-}
-
-TEST(JoinServiceTest, SharedCostTablePoolsMeasurementsAcrossSessions) {
-  ServiceOptions opts;
-  opts.exec.backend = exec::BackendKind::kSim;
-  opts.share_costs = true;
-  JoinService service(opts);
-  EXPECT_EQ(service.shared_cost_steps(), 0u);
-
-  auto a = service.OpenSession(ShjSession(cost::TuneMode::kOnline));
-  ASSERT_TRUE(a.ok());
-  const data::Workload w = MakeWorkload(1 << 14, 1 << 16);
-  ASSERT_TRUE((*a)->Join(w).ok());
-  EXPECT_GT(service.shared_cost_steps(), 0u);
-
-  // A cold session still plans and runs correctly on the seeded table.
-  auto b = service.OpenSession(ShjSession(cost::TuneMode::kOnline));
-  ASSERT_TRUE(b.ok());
-  auto report = (*b)->Join(w);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->matches, w.expected_matches);
-}
-
-TEST(RatioTunerSharedCosts, AttachedFromTheVeryFirstRun) {
-  cost::OnlineCalibrator shared;
-  coproc::RatioTuner tuner(cost::TuneMode::kOnline);
-  tuner.set_shared_costs(&shared);
-  coproc::JoinSpec spec;
-  tuner.Prepare(&spec);  // zero runs absorbed: cold start
-  EXPECT_EQ(spec.shared_costs, &shared);
-  EXPECT_EQ(spec.measured_costs, nullptr);  // no own measurements yet
-}
-
-TEST(JoinDriverSharedCosts, SharedTableChangesPlannedRatios) {
-  // A shared table claiming the CPU is absurdly slow on every probe step
-  // must push the PL optimizer's probe ratios toward the GPU lane.
-  const data::Workload w = MakeWorkload(1 << 14, 1 << 16);
-  coproc::JoinSpec spec;
-  spec.algorithm = coproc::Algorithm::kSHJ;
-  spec.scheme = coproc::Scheme::kPipelined;
-
-  simcl::SimContext base_ctx;
-  auto baseline = coproc::ExecutePlan(&base_ctx, coproc::MakeSingleJoinPlan(w, spec));
-  ASSERT_TRUE(baseline.ok());
-
-  cost::OnlineCalibrator shared;
-  for (const char* step : {"p1", "p2", "p3", "p4"}) {
-    shared.Observe(step, simcl::DeviceId::kCpu, 1000, 1e12);  // 1e9 ns/item
-    shared.Observe(step, simcl::DeviceId::kGpu, 1000, 1e3);   // 1 ns/item
-  }
-  spec.shared_costs = &shared;
-  simcl::SimContext seeded_ctx;
-  auto seeded = coproc::ExecutePlan(&seeded_ctx, coproc::MakeSingleJoinPlan(w, spec));
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(seeded->matches, w.expected_matches);
-
-  double base_cpu = 0.0;
-  double seeded_cpu = 0.0;
-  for (double r : baseline->probe_ratios) base_cpu += r;
-  for (double r : seeded->probe_ratios) seeded_cpu += r;
-  EXPECT_LT(seeded_cpu, base_cpu);
-  EXPECT_NEAR(seeded_cpu, 0.0, 1e-9);  // CPU lane priced out entirely
-}
-
 TEST(JoinServiceTest, StreamDefaultInheritsAndSessionOverrideWins) {
   ServiceOptions opts;
   opts.exec.backend = exec::BackendKind::kSim;
@@ -339,7 +236,6 @@ TEST(JoinServiceTest, ConcurrentSimSessionsBitIdenticalToSolo) {
 
   ServiceOptions opts;
   opts.exec.backend = exec::BackendKind::kSim;
-  opts.share_costs = false;
   JoinService service(opts);
   std::vector<std::unique_ptr<Session>> sessions;
   for (int i = 0; i < 3; ++i) {

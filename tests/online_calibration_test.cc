@@ -1,11 +1,9 @@
 // Unit tests for the measurement-driven calibration math: EWMA behaviour,
-// noise filtering, the measured-over-analytic table overlay, and the
-// serial-lane optimizer that consumes measured tables on real backends.
+// noise filtering, and the measured-over-analytic table overlay.
 
 #include <gtest/gtest.h>
 
 #include "cost/online_calibration.h"
-#include "cost/optimizer.h"
 
 namespace apujoin::cost {
 namespace {
@@ -38,9 +36,7 @@ TEST(OnlineCalibratorTest, FirstObservationSetsUnitCost) {
 }
 
 TEST(OnlineCalibratorTest, EwmaConvergesToStableSignal) {
-  OnlineCalibratorOptions opts;
-  opts.alpha = 0.5;
-  OnlineCalibrator calib(opts);
+  OnlineCalibrator calib;  // alpha 0.5
   // Start far off (100 ns/item), then feed a stable 2 ns/item signal: the
   // EWMA closes the 98 ns gap geometrically — within 98 * 0.5^k after k
   // runs — and lands within 1% of the signal in 14 runs.
@@ -56,20 +52,20 @@ TEST(OnlineCalibratorTest, EwmaConvergesToStableSignal) {
 }
 
 TEST(OnlineCalibratorTest, EwmaWeighsNewestSample) {
-  OnlineCalibratorOptions opts;
-  opts.alpha = 0.25;
-  OnlineCalibrator calib(opts);
+  OnlineCalibrator calib;
   calib.Observe("p1", DeviceId::kCpu, 100, 400.0);   // 4 ns/item
   calib.Observe("p1", DeviceId::kCpu, 100, 800.0);   // 8 ns/item sample
-  // 0.25 * 8 + 0.75 * 4 = 5.
-  EXPECT_DOUBLE_EQ(calib.UnitCostNs("p1", DeviceId::kCpu), 5.0);
+  // 0.5 * 8 + 0.5 * 4 = 6.
+  EXPECT_DOUBLE_EQ(calib.UnitCostNs("p1", DeviceId::kCpu), 6.0);
+  calib.Observe("p1", DeviceId::kCpu, 100, 1000.0);  // 10 ns/item sample
+  // 0.5 * 10 + 0.5 * 6 = 8: each older sample's weight halves per run.
+  EXPECT_DOUBLE_EQ(calib.UnitCostNs("p1", DeviceId::kCpu), 8.0);
 }
 
 TEST(OnlineCalibratorTest, IgnoresTinyAndDegenerateSlices) {
-  OnlineCalibratorOptions opts;
-  opts.min_slice_items = 64;
-  OnlineCalibrator calib(opts);
-  calib.Observe("p2", DeviceId::kCpu, 63, 1e6);   // below the floor
+  OnlineCalibrator calib;
+  constexpr uint64_t kTiny = OnlineCalibrator::kMinSliceItems - 1;
+  calib.Observe("p2", DeviceId::kCpu, kTiny, 1e6);  // below the floor
   calib.Observe("p2", DeviceId::kCpu, 1000, 0.0);  // no measured time
   calib.Observe("p2", DeviceId::kCpu, 0, 100.0);
   EXPECT_FALSE(calib.Has("p2", DeviceId::kCpu));
@@ -101,39 +97,6 @@ TEST(OnlineCalibratorTest, RefineReplacesOnlyMeasuredSlots) {
   // p4: fully measured — the analytic table is fully swapped out.
   EXPECT_DOUBLE_EQ(refined[2].cpu_ns_per_item, 7.0);
   EXPECT_DOUBLE_EQ(refined[2].gpu_ns_per_item, 9.0);
-}
-
-TEST(OnlineCalibratorTest, ClearForgetsEverything) {
-  OnlineCalibrator calib;
-  calib.Observe("b1", DeviceId::kCpu, 1000, 1000.0);
-  EXPECT_EQ(calib.size(), 1u);
-  calib.Clear();
-  EXPECT_TRUE(calib.empty());
-  EXPECT_FALSE(calib.Has("b1", DeviceId::kCpu));
-}
-
-TEST(OptimizeSerialTest, RunsEachStepOnItsCheaperDevice) {
-  StepCosts costs(3);
-  costs[0] = {"s1", 1.0, 4.0};  // CPU cheaper
-  costs[1] = {"s2", 9.0, 2.0};  // GPU cheaper
-  costs[2] = {"s3", 5.0, 5.0};  // tie -> CPU
-  const RatioPlan plan = OptimizeSerial(costs, 1000);
-  ASSERT_EQ(plan.ratios.size(), 3u);
-  EXPECT_DOUBLE_EQ(plan.ratios[0], 1.0);
-  EXPECT_DOUBLE_EQ(plan.ratios[1], 0.0);
-  EXPECT_DOUBLE_EQ(plan.ratios[2], 1.0);
-  EXPECT_DOUBLE_EQ(plan.predicted_ns, 1000.0 * (1.0 + 2.0 + 5.0));
-}
-
-TEST(OptimizeSerialTest, SingleRatioPicksCheaperSeriesTotal) {
-  StepCosts costs(2);
-  costs[0] = {"s1", 1.0, 10.0};
-  costs[1] = {"s2", 6.0, 2.0};  // totals: CPU 7, GPU 12 -> all-CPU
-  const RatioPlan plan = OptimizeSerial(costs, 100, /*single_ratio=*/true);
-  ASSERT_EQ(plan.ratios.size(), 2u);
-  EXPECT_DOUBLE_EQ(plan.ratios[0], 1.0);
-  EXPECT_DOUBLE_EQ(plan.ratios[1], 1.0);
-  EXPECT_DOUBLE_EQ(plan.predicted_ns, 100.0 * 7.0);
 }
 
 }  // namespace
