@@ -8,19 +8,21 @@
 //
 // Every binary accepts the shared harness flags (core/harness_flags.h,
 // listed in core::kHarnessUsage): --backend, --threads, --morsel,
-// --stream, --layout, --prefetch-dist and --fuse select and shape the
-// execution backend, --tune=off|once|online the calibration feedback mode
-// (fig21_online_tuning only), and --json=<path>
-// writes a machine-readable run record next to the human tables — per-join
-// elapsed/estimated ns, per-step ns and item counts, plus any
+// --layout, --prefetch-dist and --fuse select and shape the execution
+// backend, and --json=<path> writes a machine-readable run record next to
+// the human tables — per-join elapsed/estimated ns (the estimate is the
+// sim's; 0 on a real backend), per-step ns and item counts, plus any
 // bench-specific metrics — which CI uploads as the perf-trajectory
-// artifact. Schema:
+// artifact. Flags one binary reads (fig19's --stream, fig21's --tune,
+// fig23's --plan) are parsed by that binary. The binaries that print the
+// cost model's or the simulator's own output call RequireSimBackend: on a
+// real backend they have nothing real to show and exit 2. Schema:
 //
 //   { "bench": "fig03_time_breakdown", "backend": "threads", "threads": 2,
 //     "scale": 0.01,
 //     "joins": [ { "elapsed_ns": ..., "estimated_ns": ..., "matches": ...,
 //                  "steps": [ { "phase": "build", "name": "b1",
-//                               "ratio": 0.5, "cpu_ns": ..., "gpu_ns": ...,
+//                               "ratio": 1, "cpu_ns": ..., "gpu_ns": ...,
 //                               "cpu_items": ..., "gpu_items": ... }, ... ]
 //                }, ... ],
 //     "metrics": [ { "name": "concurrent_throughput_jps",
@@ -164,6 +166,18 @@ inline void InitBench(int argc, char** argv) {
 }
 
 inline exec::BackendKind BenchBackend() { return g_flags.backend; }
+
+/// Exits 2 with a message unless the run is on the sim backend. For the
+/// binaries whose output only the simulator has — the cost model's unit
+/// costs, ratios and estimates (fig04-fig09), latch or cache models
+/// (fig20, tab03), divergence grouping and ratio tuning (the GPU lane a
+/// real backend never uses). `what` says what the binary shows.
+inline void RequireSimBackend(const char* what) {
+  if (g_flags.backend == exec::BackendKind::kSim) return;
+  std::fprintf(stderr, "%s: only the sim backend has it, not --backend=%s\n",
+               what, BackendKindName(g_flags.backend));
+  std::exit(2);
+}
 
 /// Stamps the selected execution flags into a join spec.
 inline void ApplyBackend(coproc::JoinSpec* spec) {

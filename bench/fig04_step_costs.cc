@@ -72,5 +72,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 4 prints the cost model's per-step unit costs");
   apujoin::bench::Run();
 }

@@ -44,5 +44,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 5 prints the cost model's per-step PL ratios");
   apujoin::bench::Run();
 }

@@ -36,5 +36,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 6 prints the cost model's per-step PL ratios");
   apujoin::bench::Run();
 }

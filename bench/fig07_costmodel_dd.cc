@@ -72,5 +72,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 7 compares the cost model's estimate with the simulated time");
   apujoin::bench::Run();
 }

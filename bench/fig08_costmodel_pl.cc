@@ -53,5 +53,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 8 compares the cost model's estimate with the simulated time");
   apujoin::bench::Run();
 }

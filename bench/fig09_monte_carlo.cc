@@ -78,5 +78,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Figure 9 ranks the cost model's pick among sampled ratios");
   apujoin::bench::Run();
 }

@@ -7,8 +7,9 @@
 // scaling is near-linear in the input, and PHJ-PL is slightly (<~9%)
 // faster than SHJ-PL.
 //
-// --stream=serial (default) reproduces the historical figure — the sim
-// numbers are bit-identical to the pre-streaming executor.
+// --stream, this bench's own flag: --stream=serial (default) reproduces
+// the historical figure — the sim numbers are bit-identical to the
+// pre-streaming executor.
 // --stream=pipelined switches to a serial-vs-pipelined comparison: each
 // configuration runs both streaming modes (interleaved best-of-3 trials on
 // the threads backend, whose times are wall-clock on a shared host) and the
@@ -23,6 +24,8 @@
 
 namespace apujoin::bench {
 namespace {
+
+exec::StreamMode g_stream = exec::StreamMode::kSerial;  ///< --stream
 
 coproc::OutOfCoreSpec MakeSpec(coproc::Algorithm algo,
                                exec::StreamMode stream) {
@@ -150,7 +153,7 @@ void Run() {
   std::vector<uint64_t> sizes = {16ull << 20, 32ull << 20, 64ull << 20};
   if (GetEnvFlag("REPRO_FULL")) sizes.push_back(128ull << 20);
 
-  if (g_flags.stream == exec::StreamMode::kPipelined) {
+  if (g_stream == exec::StreamMode::kPipelined) {
     RunStreamComparison(sizes, buffer_bytes);
   } else {
     RunSerialFigure(sizes, buffer_bytes);
@@ -161,6 +164,24 @@ void Run() {
 }  // namespace apujoin::bench
 
 int main(int argc, char** argv) {
-  apujoin::bench::InitBench(argc, argv);
-  apujoin::bench::Run();
+  using namespace apujoin;
+  // Extract the bench-specific --stream flag; hand everything else to the
+  // shared harness parser.
+  std::vector<char*> rest = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    switch (exec::ParseStreamFlag(argv[i], &bench::g_stream)) {
+      case exec::FlagParse::kOk:
+        break;
+      case exec::FlagParse::kInvalid:
+        std::fprintf(stderr,
+                     "invalid value in '%s' (want --stream=serial|pipelined)\n",
+                     argv[i]);
+        return 2;
+      case exec::FlagParse::kNotMatched:
+        rest.push_back(argv[i]);
+        break;
+    }
+  }
+  bench::InitBench(static_cast<int>(rest.size()), rest.data());
+  bench::Run();
 }

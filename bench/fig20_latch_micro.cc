@@ -48,5 +48,6 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend("Figure 20 prints the latch model");
   apujoin::bench::Run();
 }

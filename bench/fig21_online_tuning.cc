@@ -12,10 +12,11 @@
 // 2 (analytic guesses -> measured optimum) and ~0 once converged; the
 // final unit-cost table shows measured values where the analytic model
 // guessed. Defaults to --tune=online; --tune=off shows the flat baseline.
-// Tuning runs on the sim backend only: with tuning on, --backend=threads
-// prints the tuner's InvalidArgument and exits 2.
+// --tune is this bench's own flag. Tuning runs on the sim backend only:
+// --backend=threads exits 2, whatever --tune says.
 
 #include <cmath>
+#include <cstring>
 
 #include "bench_common.h"
 #include "coproc/ratio_tuner.h"
@@ -24,6 +25,8 @@ namespace apujoin::bench {
 namespace {
 
 constexpr int kIterations = 8;
+
+cost::TuneMode g_tune = cost::TuneMode::kOnline;  ///< --tune
 
 std::vector<double> AllRatios(const coproc::JoinReport& rep) {
   std::vector<double> r = rep.build_ratios;
@@ -41,8 +44,6 @@ double MeanDrift(const std::vector<double>& prev,
 
 void Run() {
   PrintBanner("Figure 21", "online tuning: per-iteration time & ratio drift");
-  const cost::TuneMode mode =
-      g_flags.tune_set ? g_flags.tune : cost::TuneMode::kOnline;
   const data::Workload w =
       MakeWorkload(Scaled(4ull << 20), Scaled(16ull << 20),
                    data::Distribution::kHighSkew);
@@ -53,20 +54,16 @@ void Run() {
   spec.algorithm = coproc::Algorithm::kSHJ;
   spec.scheme = coproc::Scheme::kPipelined;
   ApplyBackend(&spec);
-  std::printf("tune: %s\n\n", cost::TuneModeName(mode));
+  std::printf("tune: %s\n\n", cost::TuneModeName(g_tune));
 
-  coproc::RatioTuner tuner(mode);
+  coproc::RatioTuner tuner(g_tune);
   TablePrinter table(
       {"iter", "time(s)", "estimate(s)", "ratio drift", "measured steps"});
   std::vector<double> prev_ratios;
   coproc::JoinReport first;
   coproc::JoinReport last;
   for (int i = 1; i <= kIterations; ++i) {
-    const Status prepared = tuner.Prepare(&spec);
-    if (!prepared.ok()) {
-      std::fprintf(stderr, "%s\n", prepared.ToString().c_str());
-      std::exit(2);
-    }
+    APU_CHECK_OK(tuner.Prepare(&spec));
     auto report =
         coproc::ExecutePlan(backend, coproc::MakeSingleJoinPlan(w, spec));
     APU_CHECK_OK(report.status());
@@ -123,6 +120,21 @@ void Run() {
 }  // namespace apujoin::bench
 
 int main(int argc, char** argv) {
-  apujoin::bench::InitBench(argc, argv);
-  apujoin::bench::Run();
+  using namespace apujoin::bench;
+  // Extract the bench-specific --tune flag; hand everything else to the
+  // shared harness parser.
+  std::vector<char*> rest = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--tune=", 7) != 0) {
+      rest.push_back(argv[i]);
+    } else if (!apujoin::cost::ParseTuneMode(argv[i] + 7, &g_tune)) {
+      std::fprintf(stderr,
+                   "invalid value in '%s' (want --tune=off|once|online)\n",
+                   argv[i]);
+      return 2;
+    }
+  }
+  InitBench(static_cast<int>(rest.size()), rest.data());
+  RequireSimBackend("Figure 21 tunes ratios on the simulated APU");
+  Run();
 }

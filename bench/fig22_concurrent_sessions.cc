@@ -87,9 +87,13 @@ struct Client {
 
   void Run() {
     latencies_s.reserve(static_cast<size_t>(joins));
+    const coproc::PlanSpec plan = coproc::MakeSingleJoinPlan(
+        *workload, session->joiner().config().spec);
     for (int i = 0; i < joins; ++i) {
       const auto t0 = Clock::now();
-      auto report = session->Join(*workload);
+      auto ticket = session->Submit(plan);
+      APU_CHECK_OK(ticket.status());
+      auto report = ticket->Take();
       APU_CHECK_OK(report.status());
       APU_CHECK(report->matches == workload->expected_matches);
       latencies_s.push_back(SecsSince(t0));

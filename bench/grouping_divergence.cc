@@ -52,5 +52,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "divergence grouping reorders the GPU lane");
   apujoin::bench::Run();
 }

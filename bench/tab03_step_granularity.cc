@@ -18,12 +18,6 @@ using coproc::JoinSpec;
 
 void Run() {
   PrintBanner("Table 3", "fine vs coarse step definition (PHJ-PL vs PHJ-PL')");
-  if (BenchBackend() != exec::BackendKind::kSim) {
-    // The L2 counters come from the set-associative CacheSim, which only
-    // exists under the analytic backend.
-    std::printf("note: Table 3 needs cache tracing; forcing --backend=sim\n");
-    g_flags.backend = exec::BackendKind::kSim;
-  }
   const uint64_t n = Scaled(16ull << 20);
   const data::Workload w = MakeWorkload(n, n);
 
@@ -63,5 +57,7 @@ void Run() {
 
 int main(int argc, char** argv) {
   apujoin::bench::InitBench(argc, argv);
+  apujoin::bench::RequireSimBackend(
+      "Table 3 counts L2 misses in the cache simulator");
   apujoin::bench::Run();
 }

@@ -5,12 +5,13 @@
 // A CoupledJoiner with tune != off closes the loop automatically: each
 // Join() folds its measured per-step timings into the session's
 // OnlineCalibrator, and the next Join() re-optimizes its ratios on the
-// measured table. --tune=off restores the static baseline. Tuning is a
-// sim-backend feature: with tuning on, --backend=threads prints the
-// joiner's InvalidArgument and exits 2.
+// measured table. --tune=off restores the static baseline; --tune is this
+// example's own flag. Tuning is a sim-backend feature: --backend=threads
+// exits 2, whatever --tune says.
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "core/coupled_joiner.h"
 #include "example_common.h"
@@ -19,18 +20,32 @@
 int main(int argc, char** argv) {
   using namespace apujoin;
 
+  // Extract the example's own --tune flag (online tuning is its point);
+  // hand everything else to the shared parser.
+  cost::TuneMode tune = cost::TuneMode::kOnline;
+  std::vector<char*> rest = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--tune=", 7) != 0) {
+      rest.push_back(argv[i]);
+    } else if (!cost::ParseTuneMode(argv[i] + 7, &tune)) {
+      std::fprintf(stderr,
+                   "invalid value in '%s' (want --tune=off|once|online)\n",
+                   argv[i]);
+      return 2;
+    }
+  }
   join::EngineOptions engine;
-  const core::HarnessFlags flags =
-      examples::ApplyBackendFlags(argc, argv, &engine);
-  // Online tuning is this example's point.
-  const cost::TuneMode tune =
-      flags.tune_set ? flags.tune : cost::TuneMode::kOnline;
+  examples::ApplyBackendFlags(static_cast<int>(rest.size()), rest.data(),
+                              &engine);
+  examples::RequireSimBackend(engine,
+                              "adaptive_session tunes ratios on the "
+                              "simulated APU");
   // Positional sizes: adaptive_session [R] [S].
   uint64_t sizes[2] = {1ull << 20, 4ull << 20};
   int pos = 0;
-  for (int i = 1; i < argc && pos < 2; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      sizes[pos++] = std::strtoull(argv[i], nullptr, 10);
+  for (size_t i = 1; i < rest.size() && pos < 2; ++i) {
+    if (std::strncmp(rest[i], "--", 2) != 0) {
+      sizes[pos++] = std::strtoull(rest[i], nullptr, 10);
     }
   }
 
@@ -57,10 +72,7 @@ int main(int argc, char** argv) {
   double last_ns = 0.0;
   for (int q = 1; q <= 8; ++q) {
     auto report = joiner.Join(*workload);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-      return 2;
-    }
+    APU_CHECK_OK(report.status());
     APU_CHECK(report->matches == workload->expected_matches);
     const auto& pr = report->probe_ratios;
     table.AddRow({std::to_string(q), TablePrinter::Fmt(report->elapsed_sec(), 3),

@@ -43,10 +43,9 @@ inline core::HarnessFlags ParseFlags(int argc, char** argv) {
 }
 
 /// Applies the shared flags to `engine`, preserving the examples' historic
-/// one-call surface. Returns the parsed flags for the ones the engine has
-/// no field for (--tune).
-inline core::HarnessFlags ApplyBackendFlags(int argc, char** argv,
-                                            join::EngineOptions* engine) {
+/// one-call surface.
+inline void ApplyBackendFlags(int argc, char** argv,
+                              join::EngineOptions* engine) {
   // An example may pre-set its own defaults (e.g. join_server defaults to
   // the threads backend); flags only override what was given explicitly.
   const join::EngineOptions defaults = *engine;
@@ -55,8 +54,18 @@ inline core::HarnessFlags ApplyBackendFlags(int argc, char** argv,
   if (!flags.backend_set) engine->backend = defaults.backend;
   if (!flags.threads_set) engine->threads = defaults.threads;
   if (!flags.morsel_set) engine->morsel_items = defaults.morsel_items;
-  if (!flags.stream_set) engine->stream = defaults.stream;
-  return flags;
+}
+
+/// Exits 2 with a message unless `engine` runs on the sim backend — for the
+/// examples built on the cost model's estimates or on ratio tuning, which a
+/// real backend (every step at ratio 1.0) does not have. `what` says what
+/// the example shows.
+inline void RequireSimBackend(const join::EngineOptions& engine,
+                              const char* what) {
+  if (engine.backend == exec::BackendKind::kSim) return;
+  std::fprintf(stderr, "%s: only the sim backend has it, not --backend=%s\n",
+               what, exec::BackendKindName(engine.backend));
+  std::exit(2);
 }
 
 }  // namespace apujoin::examples

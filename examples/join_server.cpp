@@ -48,9 +48,14 @@ struct ClientResult {
 void RunClient(service::Session* session, const data::Workload& w,
                ClientResult* out) {
   using Clock = std::chrono::steady_clock;
+  // The session's configured join of `w`; it outlives every ticket below.
+  const coproc::PlanSpec plan =
+      coproc::MakeSingleJoinPlan(w, session->joiner().config().spec);
   for (int i = 0; i < kJoinsPerClient; ++i) {
     const auto t0 = Clock::now();
-    auto report = session->Join(w);
+    auto ticket = session->Submit(plan);
+    APU_CHECK_OK(ticket.status());
+    auto report = ticket->Take();
     APU_CHECK_OK(report.status());
     APU_CHECK(report->matches == w.expected_matches);
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -142,10 +147,12 @@ int main(int argc, char** argv) {
 
   // Overflow the bounded queue on purpose: a burst of async submissions
   // beyond queue_capacity is refused, not buffered forever.
+  const coproc::PlanSpec burst_plan = coproc::MakeSingleJoinPlan(
+      workloads[1], sessions[1]->joiner().config().spec);
   std::vector<service::JoinTicket> burst;
   apujoin::Status overflow = apujoin::Status::OK();
   for (int i = 0; i < sopts.queue_capacity + 4; ++i) {
-    auto t = sessions[1]->Submit(workloads[1]);
+    auto t = sessions[1]->Submit(burst_plan);
     if (t.ok()) {
       burst.push_back(*t);
     } else {

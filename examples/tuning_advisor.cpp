@@ -16,6 +16,9 @@ int main(int argc, char** argv) {
 
   join::EngineOptions engine;
   examples::ApplyBackendFlags(argc, argv, &engine);
+  examples::RequireSimBackend(engine,
+                              "tuning_advisor ranks plans by the cost "
+                              "model's estimate");
   // Positional sizes (flags are consumed above): tuning_advisor [R] [S].
   uint64_t sizes[2] = {1ull << 20, 4ull << 20};
   int pos = 0;

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
-#include "cost/calibration.h"
-#include "cost/optimizer.h"
 #include "alloc/latch_model.h"
+#include "coproc/ratio_policy.h"
+#include "cost/calibration.h"
 #include "join/partitioned_hash_join.h"
 #include "join/simple_hash_join.h"
 #include "join/result_writer.h"
@@ -99,6 +100,7 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
                                       const data::Workload& workload,
                                       const JoinSpec& spec) {
   simcl::SimContext* ctx = backend->context();
+  const bool sim = backend->kind() == exec::BackendKind::kSim;
   const uint64_t nb = workload.build.size();
   const uint64_t np = workload.probe.size();
   ctx->log().Clear();
@@ -130,10 +132,11 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
     for (int pass = 0; pass < part->passes(); ++pass) {
       part->BeginPass(pass);
       std::vector<StepDef> steps = part->PassSteps(pass);
-      const cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-      const cost::RatioPlan plan = cost::OptimizeDataDividing(costs, n, comm);
+      auto nplan = PlanSeries(*backend, "partition", Scheme::kDataDivide,
+                              steps, stats, n, comm, {});
+      if (!nplan.ok()) return nplan.status();
       SeriesOptions opts;
-      opts.ratios = plan.ratios;
+      opts.ratios = std::move(nplan->ratios);
       opts.drain_alloc = [part]() { return part->TakeCounts(); };
       const SeriesResult res = RunSeries(backend, steps, opts);
       ctx->log().Add(Phase::kPartition, res.elapsed_ns);
@@ -173,22 +176,25 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
     pairs.back()->set_id(p);
   }
 
-  // Pair-level ratio: balance total tuple work by per-tuple unit cost of a
-  // whole SHJ on each device (sum of the calibrated fine-grained steps).
-  join::ShjEngine probe_shape(ctx, &workload.build, &workload.probe,
-                              spec.engine);
-  APU_RETURN_IF_ERROR(probe_shape.Prepare());
-  std::vector<StepDef> shape_steps = probe_shape.BuildSteps();
-  cost::WorkloadStats pair_stats = stats;
-  const cost::StepCosts shape_costs =
-      cost::CalibrateSeries(*ctx, shape_steps, pair_stats);
-  double unit_cpu = 0.0;
-  double unit_gpu = 0.0;
-  for (const auto& c : shape_costs) {
-    unit_cpu += c.cpu_ns_per_item;
-    unit_gpu += c.gpu_ns_per_item;
+  // Pair-level ratio. A real backend puts every pair on the CPU lane, as
+  // PlanSeries does every step. The sim balances total tuple work by the
+  // per-tuple unit cost of a whole SHJ on each device (sum of the
+  // calibrated fine-grained steps).
+  double r_pairs = 1.0;
+  if (sim) {
+    join::ShjEngine probe_shape(ctx, &workload.build, &workload.probe,
+                                spec.engine);
+    APU_RETURN_IF_ERROR(probe_shape.Prepare());
+    const cost::StepCosts shape_costs =
+        cost::CalibrateSeries(*ctx, probe_shape.BuildSteps(), stats);
+    double unit_cpu = 0.0;
+    double unit_gpu = 0.0;
+    for (const auto& c : shape_costs) {
+      unit_cpu += c.cpu_ns_per_item;
+      unit_gpu += c.gpu_ns_per_item;
+    }
+    r_pairs = unit_gpu / std::max(1e-9, unit_cpu + unit_gpu);
   }
-  const double r_pairs = unit_gpu / std::max(1e-9, unit_cpu + unit_gpu);
   const uint32_t cpu_pairs =
       static_cast<uint32_t>(r_pairs * static_cast<double>(parts) + 0.5);
 
@@ -215,7 +221,7 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
     }
   };
   simcl::StepStats pair_stats_run;
-  if (backend->kind() != exec::BackendKind::kSim) {
+  if (!sim) {
     // Real execution: wall-clock each device lane's pair sweep; allocator
     // costs are already inside the measured time (drain and discard).
     using SteadyClock = std::chrono::steady_clock;
@@ -274,9 +280,8 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   // execution the sweeps above ran sequentially on the host, so the phase
   // really took their sum of wall time.
   const double pair_phase_ns =
-      backend->kind() != exec::BackendKind::kSim
-          ? pair_stats_run.time[0].TotalNs() + pair_stats_run.time[1].TotalNs()
-          : pair_stats_run.ElapsedNs();
+      sim ? pair_stats_run.ElapsedNs()
+          : pair_stats_run.time[0].TotalNs() + pair_stats_run.time[1].TotalNs();
   ctx->log().Add(Phase::kOther, pair_phase_ns);
   report.lock_ns += pair_stats_run.LockNs();
 
@@ -298,7 +303,7 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   report.overflowed |= writer.dropped() > 0;
   report.breakdown = ctx->log();
   report.elapsed_ns = ctx->log().TotalNs();
-  report.estimated_ns = report.elapsed_ns - report.lock_ns;
+  if (sim) report.estimated_ns = report.elapsed_ns - report.lock_ns;
   if (ctx->cache() != nullptr) {
     report.l2_accesses = ctx->cache()->accesses() - cache_acc0;
     report.l2_misses = ctx->cache()->misses() - cache_miss0;

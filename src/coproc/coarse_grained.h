@@ -18,8 +18,10 @@ namespace apujoin::coproc {
 /// Executes PHJ with the coarse-grained (partition-pair) step definition.
 /// `spec.engine` supplies partitioning/allocator knobs; `spec.scheme` is
 /// ignored (the coarse definition admits only pair-level data dividing).
-/// Under a real-execution backend the pair-join phase is wall-clocked per
-/// device lane instead of priced by the charge-only simulator walk.
+/// On a real backend every partition pass and every pair runs on the CPU
+/// lane (coproc/ratio_policy.h), the pair-join phase is wall-clocked
+/// instead of priced by the charge-only simulator walk, and the report
+/// carries no estimate.
 apujoin::StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
                                                const data::Workload& workload,
                                                const JoinSpec& spec);

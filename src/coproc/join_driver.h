@@ -8,8 +8,9 @@
 // The backend decides what a step's execution *costs*: the sim backend
 // prices it with the analytic device model (virtual ns, bit-identical to
 // the pre-backend driver), the thread-pool backend runs it on host threads
-// and reports wall-clock ns. Calibration and ratio optimization always run
-// against the analytic model.
+// and reports wall-clock ns. Ratios follow one policy (coproc/ratio_policy.h):
+// the sim calibrates and optimizes them on the analytic model; a real
+// backend runs every step at ratio 1.0 and never consults the model.
 
 #ifndef APUJOIN_COPROC_JOIN_DRIVER_H_
 #define APUJOIN_COPROC_JOIN_DRIVER_H_
@@ -32,10 +33,15 @@ namespace apujoin::coproc {
 /// Everything needed to run one join.
 struct JoinSpec {
   Algorithm algorithm = Algorithm::kPHJ;
+  /// How the sim backend splits each step between the devices. On a real
+  /// backend CPU-only, GPU-only, OL, DD and PL all run every step at ratio
+  /// 1.0 (its two lanes would run one after the other on the same workers,
+  /// so a split buys nothing); BasicUnit keeps its chunk dispatch.
   Scheme scheme = Scheme::kPipelined;
   join::EngineOptions engine;
 
-  /// Ratio overrides (empty = let the cost model decide). A single value
+  /// Ratio overrides, applied verbatim on every backend (empty = the
+  /// scheme decides on the sim, 1.0 on a real backend). A single value
   /// broadcasts to every step of the series; otherwise sizes must match
   /// (3 for a partition pass, 4 for build/probe).
   std::vector<double> partition_ratios;
@@ -54,7 +60,8 @@ struct JoinSpec {
   /// Measured per-item unit costs from previous runs (owned by the caller,
   /// e.g. a RatioTuner). When set, entries with measurements replace their
   /// analytic counterparts before ratio optimization, so the optimizers run
-  /// on measured numbers. Null = analytic calibration only.
+  /// on measured numbers. Null = analytic calibration only. Sim only, like
+  /// the optimizers.
   const cost::OnlineCalibrator* measured_costs = nullptr;
 
   /// Bound on bytes staged in flight by the pipelined out-of-core executor
@@ -86,7 +93,9 @@ struct StepReport {
   uint64_t cpu_items = 0;
   uint64_t gpu_items = 0;
   double lock_ns = 0.0;
-  double unit_cpu_ns = 0.0;  ///< calibrated per-item cost (analytic or measured)
+  /// Calibrated per-item cost (analytic or measured) the ratios were
+  /// chosen from. Sim only: 0 on real backends, which skip the model.
+  double unit_cpu_ns = 0.0;
   double unit_gpu_ns = 0.0;
   double gpu_divergence = 1.0;
   /// Result pairs this step failed to emit (buffer exhaustion).
@@ -113,10 +122,13 @@ struct OperatorReport {
 struct JoinReport {
   uint64_t matches = 0;
   double elapsed_ns = 0.0;    ///< total measured time (virtual or wall)
-  double estimated_ns = 0.0;  ///< cost-model prediction at the same ratios
+  /// Cost-model prediction at the same ratios. Sim only: 0 on real
+  /// backends — the model prices the simulated APU, not the host.
+  double estimated_ns = 0.0;
   double lock_ns = 0.0;       ///< latch contention (excluded from estimate)
   simcl::EventLog breakdown;  ///< per-phase elapsed time
   std::vector<StepReport> steps;
+  /// The ratios applied (first partition pass / build / probe series).
   std::vector<double> partition_ratios;
   std::vector<double> build_ratios;
   std::vector<double> probe_ratios;

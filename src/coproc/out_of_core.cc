@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "coproc/pipeline_runner.h"
-#include "cost/calibration.h"
-#include "cost/optimizer.h"
+#include "coproc/ratio_policy.h"
 #include "join/radix_partition.h"
 
 namespace apujoin::coproc {
@@ -87,11 +87,12 @@ StatusOr<double> PartitionOneChunk(exec::Backend* backend,
   for (int pass = 0; pass < part.passes(); ++pass) {
     part.BeginPass(pass);
     std::vector<StepDef> steps = part.PassSteps(pass);
-    const cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-    const cost::RatioPlan rp =
-        cost::OptimizeDataDividing(costs, chunk.size(), comm);
+    // Chunk passes divide data (DD) on the sim; no overrides apply.
+    auto nplan = PlanSeries(*backend, "partition", Scheme::kDataDivide,
+                            steps, stats, chunk.size(), comm, {});
+    if (!nplan.ok()) return nplan.status();
     SeriesOptions sopts;
-    sopts.ratios = rp.ratios;
+    sopts.ratios = std::move(nplan->ratios);
     sopts.drain_alloc = [&part]() { return part.TakeCounts(); };
     const SeriesResult res = RunSeries(backend, steps, sopts);
     report->partition_ns += res.elapsed_ns;

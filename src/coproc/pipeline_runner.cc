@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -10,8 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "coproc/ratio_policy.h"
 #include "cost/calibration.h"
-#include "cost/optimizer.h"
 #include "data/key_schema.h"
 #include "join/groupby_engine.h"
 #include "join/multiway_engine.h"
@@ -30,63 +29,6 @@ using simcl::DeviceId;
 using simcl::Phase;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Ratio resolution
-// ---------------------------------------------------------------------------
-
-/// Validates a user-supplied ratio override: sizes must broadcast (1) or
-/// match the series, and every value must be a finite CPU share in [0,1].
-/// These used to be assert-only (compiled out under NDEBUG) or silently
-/// clamped; a bad override is a caller error and must surface as one.
-Status ValidateRatioOverride(const char* which,
-                             const std::vector<double>& ratios,
-                             size_t steps) {
-  if (ratios.empty()) return Status::OK();
-  if (ratios.size() != 1 && ratios.size() != steps) {
-    return Status::InvalidArgument(
-        std::string(which) + " ratio override has " +
-        std::to_string(ratios.size()) + " entries; want 1 or " +
-        std::to_string(steps));
-  }
-  for (size_t i = 0; i < ratios.size(); ++i) {
-    const double r = ratios[i];
-    if (!std::isfinite(r) || r < 0.0 || r > 1.0) {
-      return Status::InvalidArgument(
-          std::string(which) + " ratio override [" + std::to_string(i) +
-          "] = " + std::to_string(r) + " is not a CPU share in [0,1]");
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<std::vector<double>> ResolveRatios(
-    const char* which, Scheme scheme, const cost::StepCosts& costs,
-    uint64_t n, const cost::CommSpec& comm,
-    const std::vector<double>& override_ratios) {
-  const size_t steps = costs.size();
-  APU_RETURN_IF_ERROR(ValidateRatioOverride(which, override_ratios, steps));
-  if (!override_ratios.empty()) {
-    if (override_ratios.size() == 1) {
-      return std::vector<double>(steps, override_ratios[0]);
-    }
-    return override_ratios;
-  }
-  switch (scheme) {
-    case Scheme::kCpuOnly:
-      return std::vector<double>(steps, 1.0);
-    case Scheme::kGpuOnly:
-      return std::vector<double>(steps, 0.0);
-    case Scheme::kOffload:
-      return cost::OptimizeOffloading(costs, n, comm).ratios;
-    case Scheme::kDataDivide:
-    case Scheme::kBasicUnit:  // BasicUnit schedules dynamically; no ratios
-      return cost::OptimizeDataDividing(costs, n, comm).ratios;
-    case Scheme::kPipelined:
-      return cost::OptimizePipelined(costs, n, comm).ratios;
-  }
-  return Status::Internal("unknown scheme");
-}
 
 // ---------------------------------------------------------------------------
 // Driver state shared by every operator of a plan
@@ -113,17 +55,16 @@ struct Driver {
     return backend->kind() != exec::BackendKind::kSim;
   }
 
-  /// Calibrates a step series analytically, then overlays measured unit
-  /// costs from previous runs when the caller supplied a table — the
-  /// feedback loop that lets the ratio optimizers converge from analytic
-  /// guesses to measured costs over repeated joins.
-  cost::StepCosts Calibrate(const std::vector<StepDef>& steps,
-                            const cost::WorkloadStats& stats) const {
-    cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-    if (spec.measured_costs != nullptr) {
-      costs = spec.measured_costs->Refine(costs);
-    }
-    return costs;
+  /// The ratios of one series over `n` items under the plan's scheme
+  /// (coproc/ratio_policy.h). On the sim, measured unit costs from previous
+  /// runs overlay the analytic ones when the caller supplied a table — the
+  /// feedback loop that lets the optimizers converge on measured costs.
+  StatusOr<SeriesPlan> Plan(const char* which,
+                            const std::vector<StepDef>& steps,
+                            const cost::WorkloadStats& stats, uint64_t n,
+                            const std::vector<double>& overrides = {}) const {
+    return PlanSeries(*backend, which, spec.scheme, steps, stats, n, comm,
+                      overrides, spec.measured_costs);
   }
 
   /// Transfer of the GPU's input share over PCI-e in discrete mode; returns
@@ -138,16 +79,17 @@ struct Driver {
     return ctx->TransferToDevice(bytes);
   }
 
-  /// Runs one series under `scheme` with resolved `ratios`, logs phase time
-  /// and collects step reports. `gpu_start_delay` shifts the GPU (PCI-e
+  /// Runs one series at `plan`'s ratios (BasicUnit: by chunk dispatch),
+  /// logs phase time, collects step reports and adds the plan's estimate
+  /// plus `gpu_start_delay` to estimated_ns — unless `estimate` is false and
+  /// the caller sums it itself. `gpu_start_delay` shifts the GPU (PCI-e
   /// input transfer in discrete mode).
-  StatusOr<SeriesResult> RunPhase(
-      const std::string& phase_name, Phase phase,
-      std::vector<StepDef>& steps, const cost::StepCosts& costs,
-      const std::vector<double>& ratios,
-      const std::function<alloc::AllocCounts()>& drain,
-      double gpu_start_delay,
-      const std::vector<uint32_t>* pair_offsets = nullptr) {
+  SeriesResult RunPhase(const std::string& phase_name, Phase phase,
+                        std::vector<StepDef>& steps, const SeriesPlan& plan,
+                        const std::function<alloc::AllocCounts()>& drain,
+                        double gpu_start_delay,
+                        const std::vector<uint32_t>* pair_offsets = nullptr,
+                        bool estimate = true) {
     const uint64_t dropped0 = writer != nullptr ? writer->dropped() : 0;
     SeriesResult res;
     if (spec.scheme == Scheme::kBasicUnit) {
@@ -170,7 +112,7 @@ struct Driver {
       }
     } else {
       SeriesOptions opts;
-      opts.ratios = ratios;
+      opts.ratios = plan.ratios;
       opts.drain_alloc = drain;
       res = pair_offsets != nullptr
                 ? RunSeriesPairBlocked(backend, steps, opts, *pair_offsets)
@@ -187,11 +129,12 @@ struct Driver {
                           res.comm_ns;
     }
     ctx->log().Add(phase, elapsed);
-    AbsorbStepReports(phase_name, res, costs);
+    AbsorbStepReports(phase_name, res, plan.costs);
     if (writer != nullptr && !report.steps.empty()) {
       // Drops can only come from this phase's emitting step (the last one).
       report.steps.back().dropped += writer->dropped() - dropped0;
     }
+    if (estimate) estimated_ns += plan.estimated_ns + gpu_start_delay;
     return res;
   }
 
@@ -337,26 +280,18 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
 
     // ---- build ----
     std::vector<StepDef> bsteps = engine.BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nb, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    drv.report.build_ratios = *bratios;
-    const double btransfer = drv.PhaseInputTransfer(*bratios, nb,
-                                                    tuple_bytes);
-    auto bres = drv.RunPhase("build", Phase::kBuild, bsteps, bcosts,
-                             *bratios, drain, btransfer);
-    if (!bres.ok()) return bres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nb, *bratios, drv.comm).elapsed_ns +
-        btransfer;
+    auto bplan = drv.Plan("build", bsteps, stats, nb, spec.build_ratios);
+    if (!bplan.ok()) return bplan.status();
+    drv.report.build_ratios = bplan->ratios;
+    drv.RunPhase("build", Phase::kBuild, bsteps, *bplan, drain,
+                 drv.PhaseInputTransfer(bplan->ratios, nb, tuple_bytes));
 
     // ---- merge (separate tables) ----
     if (!spec.engine.shared_table) {
       if (ctx->discrete()) {
         // Partial table comes back over PCI-e before merging.
         const double gpu_nodes =
-            (1.0 - (*bratios)[0]) * static_cast<double>(nb);
+            (1.0 - bplan->ratios[0]) * static_cast<double>(nb);
         ctx->TransferToDevice(gpu_nodes * 20.0);
         drv.estimated_ns += ctx->pcie().TransferNs(gpu_nodes * 20.0);
       }
@@ -370,22 +305,15 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
     std::vector<StepDef> psteps = fused_agg != nullptr
                                       ? engine.ProbeStepsFused(fused_agg)
                                       : engine.ProbeSteps(&writer);
-    const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-    auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                                 spec.probe_ratios);
-    if (!pratios.ok()) return pratios.status();
-    drv.report.probe_ratios = *pratios;
-    const double ptransfer = drv.PhaseInputTransfer(*pratios, np,
-                                                    tuple_bytes);
-    auto pres = drv.RunPhase("probe", Phase::kProbe, psteps, pcosts,
-                             *pratios, drain, ptransfer);
-    if (!pres.ok()) return pres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns +
-        ptransfer;
+    auto pplan = drv.Plan("probe", psteps, stats, np, spec.probe_ratios);
+    if (!pplan.ok()) return pplan.status();
+    drv.report.probe_ratios = pplan->ratios;
+    drv.RunPhase("probe", Phase::kProbe, psteps, *pplan, drain,
+                 drv.PhaseInputTransfer(pplan->ratios, np, tuple_bytes));
     if (ctx->discrete()) {
       const double result_bytes =
-          (1.0 - (*pratios)[0]) * static_cast<double>(writer.count()) * 8.0;
+          (1.0 - pplan->ratios[0]) * static_cast<double>(writer.count()) *
+          8.0;
       const double back = ctx->TransferToDevice(result_bytes);
       drv.estimated_ns += back;
     }
@@ -413,23 +341,20 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       for (int pass = 0; pass < part->passes(); ++pass) {
         part->BeginPass(pass);
         std::vector<StepDef> nsteps = part->PassSteps(pass);
-        const cost::StepCosts ncosts = drv.Calibrate(nsteps, stats);
-        auto nratios = ResolveRatios("partition", spec.scheme, ncosts, n,
-                                     drv.comm, spec.partition_ratios);
-        if (!nratios.ok()) return nratios.status();
-        if (side == 0 && pass == 0) drv.report.partition_ratios = *nratios;
+        auto nplan = drv.Plan("partition", nsteps, stats, n,
+                              spec.partition_ratios);
+        if (!nplan.ok()) return nplan.status();
+        if (side == 0 && pass == 0) {
+          drv.report.partition_ratios = nplan->ratios;
+        }
         const double ntransfer =
-            pass == 0 ? drv.PhaseInputTransfer(*nratios, n, tuple_bytes)
+            pass == 0 ? drv.PhaseInputTransfer(nplan->ratios, n, tuple_bytes)
                       : 0.0;
         const std::string label = std::string("partition-") +
                                   (side == 0 ? "R" : "S") + "." +
                                   std::to_string(pass);
-        auto nres = drv.RunPhase(label, Phase::kPartition, nsteps, ncosts,
-                                 *nratios, drain_part, ntransfer);
-        if (!nres.ok()) return nres.status();
-        drv.estimated_ns +=
-            cost::EstimateSeries(ncosts, n, *nratios, drv.comm).elapsed_ns +
-            ntransfer;
+        drv.RunPhase(label, Phase::kPartition, nsteps, *nplan, drain_part,
+                     ntransfer);
         part->EndPass(pass);
       }
     }
@@ -443,19 +368,15 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
 
     // ---- join phase (build + probe) ----
     std::vector<StepDef> bsteps = engine.BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nb, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    drv.report.build_ratios = *bratios;
+    auto bplan = drv.Plan("build", bsteps, stats, nb, spec.build_ratios);
+    if (!bplan.ok()) return bplan.status();
+    drv.report.build_ratios = bplan->ratios;
     std::vector<StepDef> psteps = fused_agg != nullptr
                                       ? engine.ProbeStepsFused(fused_agg)
                                       : engine.ProbeSteps(&writer);
-    const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-    auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                                 spec.probe_ratios);
-    if (!pratios.ok()) return pratios.status();
-    drv.report.probe_ratios = *pratios;
+    auto pplan = drv.Plan("probe", psteps, stats, np, spec.probe_ratios);
+    if (!pplan.ok()) return pplan.status();
+    drv.report.probe_ratios = pplan->ratios;
 
     if (spec.engine.shared_table && spec.scheme != Scheme::kBasicUnit) {
       // Algorithm 2: apply the whole SHJ to each partition pair before the
@@ -463,36 +384,38 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       // probe — the fine-grained cache reuse of Table 3.
       std::vector<PairSeriesGroup> groups(2);
       groups[0].steps = &bsteps;
-      groups[0].ratios = *bratios;
+      groups[0].ratios = bplan->ratios;
       groups[0].offsets = &engine.build_partitioner()->offsets();
       groups[1].steps = &psteps;
-      groups[1].ratios = *pratios;
+      groups[1].ratios = pplan->ratios;
       groups[1].offsets = &engine.probe_partitioner()->offsets();
       SeriesOptions jopts;
       jopts.drain_alloc = drain;
       const uint64_t dropped0 = writer.dropped();
       RunSeriesPairBlockedGroups(drv.backend, groups, jopts);
-      drv.AbsorbSeries("build", Phase::kBuild, groups[0].result, bcosts);
-      drv.AbsorbSeries("probe", Phase::kProbe, groups[1].result, pcosts);
+      drv.AbsorbSeries("build", Phase::kBuild, groups[0].result,
+                       bplan->costs);
+      drv.AbsorbSeries("probe", Phase::kProbe, groups[1].result,
+                       pplan->costs);
       if (!drv.report.steps.empty()) {
         // Only the probe's emitting step (absorbed last) can drop pairs.
         drv.report.steps.back().dropped += writer.dropped() - dropped0;
       }
     } else {
       // Separate tables (and BasicUnit) keep distinct build/probe phases
-      // with an explicit merge in between.
-      const double btransfer = drv.PhaseInputTransfer(*bratios, nb,
+      // with an explicit merge in between. Their series estimates are
+      // summed below, after the transfers.
+      const double btransfer = drv.PhaseInputTransfer(bplan->ratios, nb,
                                                       tuple_bytes);
       drv.estimated_ns += btransfer;
-      auto bres = drv.RunPhase("build", Phase::kBuild, bsteps, bcosts,
-                               *bratios, drain, btransfer,
-                               &engine.build_partitioner()->offsets());
-      if (!bres.ok()) return bres.status();
+      drv.RunPhase("build", Phase::kBuild, bsteps, *bplan, drain, btransfer,
+                   &engine.build_partitioner()->offsets(),
+                   /*estimate=*/false);
 
       if (!spec.engine.shared_table) {
         if (ctx->discrete()) {
           const double gpu_nodes =
-              (1.0 - (*bratios)[0]) * static_cast<double>(nb);
+              (1.0 - bplan->ratios[0]) * static_cast<double>(nb);
           ctx->TransferToDevice(gpu_nodes * 20.0);
           drv.estimated_ns += ctx->pcie().TransferNs(gpu_nodes * 20.0);
         }
@@ -502,24 +425,21 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
         drv.estimated_ns += merge_ns;
       }
 
-      const double ptransfer = drv.PhaseInputTransfer(*pratios, np,
+      const double ptransfer = drv.PhaseInputTransfer(pplan->ratios, np,
                                                       tuple_bytes);
       drv.estimated_ns += ptransfer;
-      auto pres = drv.RunPhase("probe", Phase::kProbe, psteps, pcosts,
-                               *pratios, drain, ptransfer,
-                               &engine.probe_partitioner()->offsets());
-      if (!pres.ok()) return pres.status();
+      drv.RunPhase("probe", Phase::kProbe, psteps, *pplan, drain, ptransfer,
+                   &engine.probe_partitioner()->offsets(),
+                   /*estimate=*/false);
       if (ctx->discrete()) {
         const double result_bytes =
-            (1.0 - (*pratios)[0]) * static_cast<double>(writer.count()) *
+            (1.0 - pplan->ratios[0]) * static_cast<double>(writer.count()) *
             8.0;
         const double back = ctx->TransferToDevice(result_bytes);
         drv.estimated_ns += back;
       }
     }
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nb, *bratios, drv.comm).elapsed_ns +
-        cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns;
+    drv.estimated_ns += bplan->estimated_ns + pplan->estimated_ns;
     drv.report.overflowed = engine.overflowed();
   }
 
@@ -548,16 +468,11 @@ StatusOr<const data::Relation*> RunSelectOp(Driver& drv,
     cost::WorkloadStats stats;
     stats.build_tuples = n;
     stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("select", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kSelect, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
+    auto fplan = drv.Plan("select", steps, stats, n);
+    if (!fplan.ok()) return fplan.status();
+    elapsed = drv.RunPhase(op_path, Phase::kSelect, steps, *fplan, NoAlloc,
+                           0.0)
+                  .elapsed_ns;
   }
   eng.Finish();
 
@@ -585,16 +500,11 @@ StatusOr<const uint8_t*> RunSelectOpFused(Driver& drv,
     cost::WorkloadStats stats;
     stats.build_tuples = n;
     stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("select", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kSelect, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
+    auto fplan = drv.Plan("select", steps, stats, n);
+    if (!fplan.ok()) return fplan.status();
+    elapsed = drv.RunPhase(op_path, Phase::kSelect, steps, *fplan, NoAlloc,
+                           0.0)
+                  .elapsed_ns;
   }
 
   OperatorReport op;
@@ -654,17 +564,11 @@ Status RunMultiwayOp(Driver& drv,
       return c;
     };
     std::vector<StepDef> bsteps = beng->BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nbk, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    if (k == 0) drv.report.build_ratios = *bratios;
-    const std::string label = "build[" + std::to_string(k) + "]";
-    auto bres = drv.RunPhase(label, Phase::kBuild, bsteps, bcosts, *bratios,
-                             drain, 0.0);
-    if (!bres.ok()) return bres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nbk, *bratios, drv.comm).elapsed_ns;
+    auto bplan = drv.Plan("build", bsteps, stats, nbk, spec.build_ratios);
+    if (!bplan.ok()) return bplan.status();
+    if (k == 0) drv.report.build_ratios = bplan->ratios;
+    drv.RunPhase("build[" + std::to_string(k) + "]", Phase::kBuild, bsteps,
+                 *bplan, drain, 0.0);
   }
 
   // ---- probe chain ----
@@ -685,16 +589,10 @@ Status RunMultiwayOp(Driver& drv,
     return c;
   };
   std::vector<StepDef> psteps = engine.ChainSteps(&writer);
-  const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-  auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                               spec.probe_ratios);
-  if (!pratios.ok()) return pratios.status();
-  drv.report.probe_ratios = *pratios;
-  auto pres = drv.RunPhase("probe-chain", Phase::kProbe, psteps, pcosts,
-                           *pratios, drain, 0.0);
-  if (!pres.ok()) return pres.status();
-  drv.estimated_ns +=
-      cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns;
+  auto pplan = drv.Plan("probe", psteps, stats, np, spec.probe_ratios);
+  if (!pplan.ok()) return pplan.status();
+  drv.report.probe_ratios = pplan->ratios;
+  drv.RunPhase("probe-chain", Phase::kProbe, psteps, *pplan, drain, 0.0);
   drv.report.overflowed = engine.overflowed();
 
   OperatorReport op;
@@ -721,16 +619,11 @@ Status RunGroupByOp(Driver& drv, const join::ResultWriter& writer,
     cost::WorkloadStats stats;
     stats.build_tuples = n;
     stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("group-by", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kGroupBy, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
+    auto gplan = drv.Plan("group-by", steps, stats, n);
+    if (!gplan.ok()) return gplan.status();
+    elapsed = drv.RunPhase(op_path, Phase::kGroupBy, steps, *gplan, NoAlloc,
+                           0.0)
+                  .elapsed_ns;
   }
   drv.report.groups = eng.Materialize();
 
@@ -777,6 +670,12 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
     return Status::InvalidArgument(
         "cache tracing (trace_cache) requires the sim backend: the "
         "CacheSim is not thread-safe under concurrent kernels");
+  }
+  if (backend->kind() != exec::BackendKind::kSim && spec.engine.grouping) {
+    return Status::InvalidArgument(
+        "divergence grouping (grouping) requires the sim backend: a real "
+        "backend runs every step at ratio 1.0, so there is no GPU lane to "
+        "reorder");
   }
   // Skewed probes concentrate on hot keys, which stay cache-resident.
   if (spec.engine.locality_boost == 0.0) {
@@ -970,7 +869,8 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
   drv.report.overflowed |= writer.dropped() > 0;
   drv.report.breakdown = ctx->log();
   drv.report.elapsed_ns = ctx->log().TotalNs();
-  drv.report.estimated_ns = drv.estimated_ns;
+  // The model prices the simulated APU; a real backend reports no estimate.
+  if (!drv.real_execution()) drv.report.estimated_ns = drv.estimated_ns;
   if (ctx->cache() != nullptr) {
     drv.report.l2_accesses = ctx->cache()->accesses() - cache_acc0;
     drv.report.l2_misses = ctx->cache()->misses() - cache_miss0;

@@ -9,8 +9,9 @@
 //
 //   * Select nodes materialize their filtered relation through the f1/f2
 //     series (join/select_engine), co-processed like any other phase;
-//   * the join node runs the exact legacy flow — calibration, ratio
-//     optimization, build/partition/probe series, discrete transfers,
+//   * the join node runs the exact legacy flow — ratios per series
+//     (coproc/ratio_policy.h: calibrated and optimized on the sim, 1.0 on
+//     a real backend), build/partition/probe series, discrete transfers,
 //     separate-table merges — so a single-HashJoin plan produces a report
 //     bit-identical to the pre-plan driver;
 //   * MultiwayJoin builds one shared table per build relation and probes
@@ -33,7 +34,8 @@
 // --fuse=off the lowering above runs verbatim, bit-for-bit.
 //
 // Every structural error is a real Status (InvalidArgument naming the node
-// path); nothing in this layer asserts on user input.
+// path); nothing in this layer asserts on user input. So is a knob a real
+// backend cannot honour: cache tracing and divergence grouping are sim only.
 
 #ifndef APUJOIN_COPROC_PIPELINE_RUNNER_H_
 #define APUJOIN_COPROC_PIPELINE_RUNNER_H_

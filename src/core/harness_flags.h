@@ -2,7 +2,9 @@
 // example accepts the flags listed in kHarnessUsage below, and before this
 // header each harness carried its own copy of the parsing loop. One
 // parser, two front-ends: bench/bench_common.h (strict: no positionals)
-// and examples/example_common.h (positionals pass through).
+// and examples/example_common.h (positionals pass through). A flag only
+// some binaries read is theirs to parse, not shared here: --tune
+// (fig21_online_tuning, adaptive_session) and --stream (fig19_out_of_core).
 
 #ifndef APUJOIN_CORE_HARNESS_FLAGS_H_
 #define APUJOIN_CORE_HARNESS_FLAGS_H_
@@ -11,7 +13,6 @@
 #include <cstring>
 #include <string>
 
-#include "cost/online_calibration.h"
 #include "exec/backend_kind.h"
 #include "join/options.h"
 
@@ -22,27 +23,22 @@ struct HarnessFlags {
   exec::BackendKind backend = exec::BackendKind::kSim;
   int threads = 0;                         ///< --threads (0 = hw concurrency)
   unsigned morsel = 0;                     ///< --morsel (0 = backend default)
-  exec::StreamMode stream = exec::StreamMode::kSerial;  ///< --stream
   exec::HashLayout layout = exec::HashLayout::kChained;  ///< --layout
   unsigned prefetch_dist = 16;             ///< --prefetch-dist (0 = off)
   exec::FuseMode fuse = exec::FuseMode::kAuto;  ///< --fuse
-  cost::TuneMode tune = cost::TuneMode::kOff;   ///< --tune
   bool backend_set = false;                ///< --backend given explicitly
   bool threads_set = false;                ///< --threads given explicitly
   bool morsel_set = false;                 ///< --morsel given explicitly
-  bool stream_set = false;                 ///< --stream given explicitly
   bool layout_set = false;                 ///< --layout given explicitly
   bool prefetch_set = false;               ///< --prefetch-dist explicitly
   bool fuse_set = false;                   ///< --fuse given explicitly
-  bool tune_set = false;                   ///< --tune given explicitly
   std::string json_path;                   ///< --json; empty = no JSON output
 };
 
 /// Usage fragment for the shared flags (binaries append their own).
 inline constexpr char kHarnessUsage[] =
     "[--backend=sim|threads] [--threads=N] [--morsel=N] "
-    "[--stream=serial|pipelined] [--layout=chained|open] "
-    "[--prefetch-dist=N] [--fuse=off|auto] [--tune=off|once|online] "
+    "[--layout=chained|open] [--prefetch-dist=N] [--fuse=off|auto] "
     "[--json=path]";
 
 /// Outcome of offering one argv entry to ParseHarnessArg.
@@ -54,16 +50,6 @@ enum class HarnessArg {
 };
 
 inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
-  if (std::strncmp(arg, "--tune=", 7) == 0) {
-    if (!cost::ParseTuneMode(arg + 7, &flags->tune)) {
-      std::fprintf(stderr,
-                   "invalid value in '%s' (want --tune=off|once|online)\n",
-                   arg);
-      return HarnessArg::kInvalid;
-    }
-    flags->tune_set = true;
-    return HarnessArg::kConsumed;
-  }
   if (std::strncmp(arg, "--json=", 7) == 0) {
     if (arg[7] == '\0') {
       std::fprintf(stderr, "invalid value in '%s' (want --json=<path>)\n",
@@ -81,18 +67,6 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
       std::fprintf(stderr,
                    "invalid value in '%s' (want --morsel=N, 1 <= N <= %ld)\n",
                    arg, exec::kMaxMorselItems);
-      return HarnessArg::kInvalid;
-    case exec::FlagParse::kNotMatched:
-      break;
-  }
-  switch (exec::ParseStreamFlag(arg, &flags->stream)) {
-    case exec::FlagParse::kOk:
-      flags->stream_set = true;
-      return HarnessArg::kConsumed;
-    case exec::FlagParse::kInvalid:
-      std::fprintf(stderr,
-                   "invalid value in '%s' (want --stream=serial|pipelined)\n",
-                   arg);
       return HarnessArg::kInvalid;
     case exec::FlagParse::kNotMatched:
       break;
@@ -154,14 +128,13 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
                                          : HarnessArg::kPositional;
 }
 
-/// Stamps the parsed execution flags into engine options (all but --tune
-/// and --json, which the engine has no field for).
+/// Stamps the parsed execution flags into engine options (all but --json,
+/// which the engine has no field for).
 inline void ApplyHarnessFlags(const HarnessFlags& flags,
                               join::EngineOptions* engine) {
   engine->backend = flags.backend;
   engine->threads = flags.threads;
   engine->morsel_items = flags.morsel;
-  engine->stream = flags.stream;
   engine->layout = flags.layout;
   engine->prefetch_dist = flags.prefetch_dist;
   engine->fuse = flags.fuse;

@@ -9,7 +9,9 @@
 // Every optimizer prices a series with EstimateSeries: both devices run at
 // the same time and unlike neighbouring steps pay the pipelined delay. That
 // is the machine the simulator executes, so the plans (and measured-cost
-// re-plans, see coproc/ratio_tuner.h) are meaningful there.
+// re-plans, see coproc/ratio_tuner.h) are meaningful there — and only
+// there: coproc::PlanSeries (coproc/ratio_policy.h) calls them on the sim
+// backend only.
 
 #ifndef APUJOIN_COST_OPTIMIZER_H_
 #define APUJOIN_COST_OPTIMIZER_H_

@@ -12,9 +12,10 @@
 // behind the same three capabilities: launch a StepDef slice on a logical
 // device, query device specs, drain launch events.
 //
-// The analytic SimContext stays present under every backend: cost-model
-// calibration, ratio optimization and the phase-breakdown log all run
-// against the machine *model* even when execution timing is real.
+// The analytic SimContext stays present under every backend: the
+// phase-breakdown log and the machine's specs live there. Cost-model
+// calibration and ratio optimization use it on the sim backend only; a
+// real backend runs every step at ratio 1.0 (coproc/ratio_policy.h).
 
 #ifndef APUJOIN_EXEC_BACKEND_H_
 #define APUJOIN_EXEC_BACKEND_H_

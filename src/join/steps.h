@@ -78,29 +78,6 @@ struct StepDef {
   std::function<void(uint64_t, uint64_t)> after;
 };
 
-/// Wraps a per-item functor `fn(item, device) -> uint32_t work` into a
-/// morsel kernel. The functor is a concrete type inlined into the batch
-/// loop — only the one per-morsel std::function dispatch remains. Meant for
-/// tests and ad-hoc steps; the production engines emit native batch kernels
-/// with column views captured once per step.
-template <typename Fn>
-MorselKernel PerItemKernel(Fn fn) {
-  return [fn = std::move(fn)](const Morsel& m, simcl::DeviceId dev,
-                              uint32_t* lane_work) -> uint64_t {
-    uint64_t work = 0;
-    if (lane_work != nullptr) {
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        const uint32_t w = fn(i, dev);
-        lane_work[i - m.begin] = w;
-        work += w;
-      }
-    } else {
-      for (uint64_t i = m.begin; i < m.end; ++i) work += fn(i, dev);
-    }
-    return work;
-  };
-}
-
 /// Records `w` for item `i` when divergence accounting is on, and folds it
 /// into the batch total either way. The tiny helper keeps engine kernels
 /// down to one line of bookkeeping per item.

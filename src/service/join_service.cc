@@ -189,8 +189,7 @@ Session::~Session() {
   service_->CloseSession();
 }
 
-StatusOr<JoinTicket> Session::Enqueue(
-    std::shared_ptr<JoinTicket::State> state) {
+StatusOr<JoinTicket> Session::Submit(const coproc::PlanSpec& plan) {
   if (!service_->TryAcquireQueueSlot()) {
     return Status::ResourceExhausted(
         "join service submission queue is full (" +
@@ -198,7 +197,8 @@ StatusOr<JoinTicket> Session::Enqueue(
         " requests queued or running); retry after taking results");
   }
   JoinTicket ticket;
-  ticket.state_ = std::move(state);
+  ticket.state_ = std::make_shared<JoinTicket::State>();
+  ticket.state_->plan = &plan;
   {
     annotated::MutexLock lock(mu_);
     if (closing_) {
@@ -209,24 +209,6 @@ StatusOr<JoinTicket> Session::Enqueue(
   }
   cv_.NotifyOne();
   return ticket;
-}
-
-StatusOr<JoinTicket> Session::Submit(const data::Workload& workload) {
-  auto state = std::make_shared<JoinTicket::State>();
-  state->workload = &workload;
-  return Enqueue(std::move(state));
-}
-
-StatusOr<JoinTicket> Session::Submit(const coproc::PlanSpec& plan) {
-  auto state = std::make_shared<JoinTicket::State>();
-  state->plan = &plan;
-  return Enqueue(std::move(state));
-}
-
-StatusOr<coproc::JoinReport> Session::Join(const data::Workload& workload) {
-  auto ticket = Submit(workload);
-  if (!ticket.ok()) return ticket.status();
-  return ticket->Take();
 }
 
 void Session::RunnerLoop() {
@@ -248,8 +230,7 @@ void Session::RunnerLoop() {
 }
 
 void Session::RunOne(JoinTicket::State* req) {
-  auto report = req->plan != nullptr ? joiner_.RunPlan(*req->plan)
-                                     : joiner_.Join(*req->workload);
+  auto report = joiner_.RunPlan(*req->plan);
   service_->CountJoin(report.ok());
   // Free the queue slot before publishing the result: a client that
   // Take()s and immediately resubmits must find the capacity its finished

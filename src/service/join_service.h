@@ -110,10 +110,7 @@ class JoinTicket {
   struct State {
     annotated::Mutex mu;
     annotated::CondVar cv;
-    /// Set once by the session runner before it is handed to the client.
-    /// Exactly one of the two is non-null: a legacy workload request or an
-    /// operator-plan request.
-    const data::Workload* workload = nullptr;
+    /// Set once by Submit before it is handed to the client.
     const coproc::PlanSpec* plan = nullptr;
     std::optional<apujoin::StatusOr<coproc::JoinReport>> result GUARDED_BY(mu);
     bool taken GUARDED_BY(mu) = false;
@@ -177,7 +174,7 @@ class JoinService {
 
 /// One client's join session: a leased CoupledJoiner fed by a FIFO of
 /// submitted requests, executed serially on the session's runner thread.
-/// Submit/Join are thread-safe; destruction drains the queue (every
+/// Submit is thread-safe; destruction drains the queue (every
 /// accepted request still completes) and releases the admission slot.
 class Session {
  public:
@@ -186,20 +183,14 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Enqueues one join of `workload` (which must stay alive and unmodified
-  /// until the ticket completes). Fails with ResourceExhausted when the
-  /// service-wide queue is full, FailedPrecondition when the session is
-  /// closing.
-  apujoin::StatusOr<JoinTicket> Submit(const data::Workload& workload);
-
   /// Enqueues one operator-plan execution (selections, hash/multi-way join,
   /// group-by — see coproc/pipeline_runner.h). `plan` and every relation its
   /// scans point at must stay alive and unmodified until the ticket
-  /// completes. Same failure modes as the workload overload.
+  /// completes; coproc::MakeSingleJoinPlan(workload, joiner().config().spec)
+  /// is the session's configured join of a workload. Fails with
+  /// ResourceExhausted when the service-wide queue is full,
+  /// FailedPrecondition when the session is closing.
   apujoin::StatusOr<JoinTicket> Submit(const coproc::PlanSpec& plan);
-
-  /// Submit + Take: one synchronous join through the session's queue.
-  apujoin::StatusOr<coproc::JoinReport> Join(const data::Workload& workload);
 
   /// The session's per-session state: lease and machine model.
   /// Single-caller — do not drive it while submitted requests are pending.
@@ -216,10 +207,6 @@ class Session {
  private:
   friend class JoinService;
   Session(JoinService* service, int id, SessionOptions opts, int slots);
-
-  /// Shared admission + queue logic behind both Submit overloads.
-  apujoin::StatusOr<JoinTicket> Enqueue(
-      std::shared_ptr<JoinTicket::State> state);
 
   void RunnerLoop();
   void RunOne(JoinTicket::State* req);

@@ -12,6 +12,7 @@
 #include "exec/backend.h"
 #include "exec/sim_backend.h"
 #include "exec/thread_pool_backend.h"
+#include "per_item_kernel.h"
 
 namespace apujoin::exec {
 namespace {

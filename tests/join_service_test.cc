@@ -11,6 +11,7 @@
 #include "exec/thread_pool_backend.h"
 #include "util/perf_asserts.h"
 #include "service/join_service.h"
+#include "per_item_kernel.h"
 
 namespace apujoin::service {
 namespace {
@@ -27,6 +28,12 @@ data::Workload MakeWorkload(uint64_t build, uint64_t probe,
   auto w = data::GenerateWorkload(spec);
   APU_CHECK_OK(w.status());
   return std::move(w).value();
+}
+
+/// The session's configured join of `w`. Submit keeps a pointer to the
+/// plan, so it must outlive the ticket.
+coproc::PlanSpec PlanFor(Session& session, const data::Workload& w) {
+  return coproc::MakeSingleJoinPlan(w, session.joiner().config().spec);
 }
 
 SessionOptions ShjSession() {
@@ -75,9 +82,10 @@ TEST(JoinServiceTest, SubmissionQueueOverflowReturnsResourceExhausted) {
   // APUJOIN_PERF_ASSERTS=0 elsewhere); the queue-accounting invariants
   // below hold either way.
   const data::Workload w = MakeWorkload(1 << 18, 1 << 20);
-  auto t1 = (*session)->Submit(w);
+  const coproc::PlanSpec plan = PlanFor(**session, w);
+  auto t1 = (*session)->Submit(plan);
   ASSERT_TRUE(t1.ok());
-  auto t2 = (*session)->Submit(w);
+  auto t2 = (*session)->Submit(plan);
   if (PerfAssertsEnabled()) {
     ASSERT_FALSE(t2.ok());
     EXPECT_EQ(t2.status().code(), StatusCode::kResourceExhausted);
@@ -98,7 +106,7 @@ TEST(JoinServiceTest, SubmissionQueueOverflowReturnsResourceExhausted) {
   EXPECT_EQ(report->matches, w.expected_matches);
 
   // The slot is free again once the result is in.
-  auto t3 = (*session)->Submit(w);
+  auto t3 = (*session)->Submit(plan);
   ASSERT_TRUE(t3.ok());
   EXPECT_TRUE(t3->Take().ok());
   EXPECT_EQ(service.pending(), 0);
@@ -115,7 +123,8 @@ TEST(JoinServiceTest, TicketIsSingleShot) {
   auto session = service.OpenSession(ShjSession());
   ASSERT_TRUE(session.ok());
   const data::Workload w = MakeWorkload(1 << 12, 1 << 14);
-  auto ticket = (*session)->Submit(w);
+  const coproc::PlanSpec plan = PlanFor(**session, w);
+  auto ticket = (*session)->Submit(plan);
   ASSERT_TRUE(ticket.ok());
   EXPECT_TRUE(ticket->Take().ok());
   EXPECT_EQ(ticket->Take().status().code(),
@@ -130,9 +139,10 @@ TEST(JoinServiceTest, SessionDrainsQueueOnClose) {
   ASSERT_TRUE(session.ok());
 
   const data::Workload w = MakeWorkload(1 << 14, 1 << 16);
+  const coproc::PlanSpec plan = PlanFor(**session, w);
   std::vector<JoinTicket> tickets;
   for (int i = 0; i < 3; ++i) {
-    auto t = (*session)->Submit(w);
+    auto t = (*session)->Submit(plan);
     ASSERT_TRUE(t.ok());
     tickets.push_back(*t);
   }
@@ -163,10 +173,12 @@ TEST(JoinServiceTest, FairShareQuotaBoundsWorkerOccupancy) {
   const data::Workload wa = MakeWorkload(1 << 15, 1 << 17);
   const data::Workload wb = MakeWorkload(1 << 14, 1 << 16,
                                          data::Distribution::kLowSkew, 7);
+  const coproc::PlanSpec pa = PlanFor(**a, wa);
+  const coproc::PlanSpec pb = PlanFor(**b, wb);
   std::vector<JoinTicket> tickets;
   for (int i = 0; i < 3; ++i) {
-    auto ta = (*a)->Submit(wa);
-    auto tb = (*b)->Submit(wb);
+    auto ta = (*a)->Submit(pa);
+    auto tb = (*b)->Submit(pb);
     ASSERT_TRUE(ta.ok());
     ASSERT_TRUE(tb.ok());
     tickets.push_back(*ta);
@@ -238,15 +250,17 @@ TEST(JoinServiceTest, ConcurrentSimSessionsBitIdenticalToSolo) {
   opts.exec.backend = exec::BackendKind::kSim;
   JoinService service(opts);
   std::vector<std::unique_ptr<Session>> sessions;
+  std::vector<coproc::PlanSpec> plans;
   for (int i = 0; i < 3; ++i) {
     auto s = service.OpenSession(ShjSession());
     ASSERT_TRUE(s.ok());
     sessions.push_back(std::move(*s));
+    plans.push_back(PlanFor(*sessions.back(), w));
   }
   std::vector<JoinTicket> tickets;
   for (int round = 0; round < 4; ++round) {
-    for (auto& s : sessions) {
-      auto t = s->Submit(w);
+    for (size_t i = 0; i < sessions.size(); ++i) {
+      auto t = sessions[i]->Submit(plans[i]);
       ASSERT_TRUE(t.ok());
       tickets.push_back(*t);
     }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "coproc/out_of_core.h"
+#include "exec/backend.h"
 #include "exec/backend_kind.h"
 
 namespace apujoin::coproc {
@@ -96,6 +100,52 @@ TEST(OutOfCoreTest, ThreadsBackendStreamsChunkMorsels) {
   EXPECT_EQ(report->matches, w.expected_matches);
   EXPECT_GT(report->partition_ns, 0.0);  // wall-clock of the chunk passes
   EXPECT_GT(report->join_ns, 0.0);
+}
+
+/// Forwards every span to a thread pool and keeps its own launch log: the
+/// pool's own log is drained by each pair join inside ExecuteOutOfCore.
+class LaneLog : public exec::Backend {
+ public:
+  explicit LaneLog(exec::Backend* pool)
+      : Backend(pool->context()), pool_(pool) {}
+  exec::BackendKind kind() const override { return pool_->kind(); }
+  simcl::StepStats RunSpan(const join::StepDef& step, simcl::DeviceId dev,
+                           uint64_t begin, uint64_t end) override {
+    if (end > begin) events.push_back({step.name, dev, begin, end, 0.0});
+    return pool_->RunSpan(step, dev, begin, end);
+  }
+  std::vector<exec::LaunchEvent> events;
+
+ private:
+  exec::Backend* pool_;
+};
+
+TEST(OutOfCoreTest, ThreadsBackendRunsEverySpanOnTheCpuLane) {
+  // A real backend runs every chunk partition pass, staging copy and pair
+  // join at ratio 1.0 (coproc/ratio_policy.h): nothing lands on the GPU
+  // lane, in either streaming mode.
+  const data::Workload w = MakeWorkload(1 << 14);
+  simcl::ContextOptions copts;
+  copts.memory.zero_copy_bytes = 64.0 * 1024;
+  for (exec::StreamMode stream :
+       {exec::StreamMode::kSerial, exec::StreamMode::kPipelined}) {
+    simcl::SimContext ctx(copts);
+    const std::unique_ptr<exec::Backend> pool =
+        exec::MakeBackend(exec::BackendKind::kThreadPool, &ctx, 3);
+    LaneLog log(pool.get());
+    OutOfCoreSpec spec;
+    spec.chunk_tuples = 1 << 12;
+    spec.inner.engine.backend = exec::BackendKind::kThreadPool;
+    spec.inner.engine.stream = stream;
+    auto report = ExecuteOutOfCore(&log, w, spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->chunked);
+    EXPECT_EQ(report->matches, w.expected_matches);
+    EXPECT_FALSE(log.events.empty());
+    for (const exec::LaunchEvent& e : log.events) {
+      EXPECT_EQ(e.device, simcl::DeviceId::kCpu) << e.step;
+    }
+  }
 }
 
 TEST(OutOfCoreTest, ThreadsAndSimBackendsAgreeOnMatches) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "coproc/step_series.h"
+#include "per_item_kernel.h"
 
 namespace apujoin::coproc {
 namespace {
