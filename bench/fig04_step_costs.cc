@@ -61,8 +61,7 @@ void Run() {
   }
   APU_CHECK_OK(engine.PrepareJoinPhase());
   add_series(engine.BuildSteps());
-  join::ResultWriter writer(w.expected_matches + (1 << 20),
-                            alloc::AllocatorKind::kOptimized, 2048);
+  join::ResultWriter writer(alloc::AllocatorKind::kOptimized, 2048);
   add_series(engine.ProbeSteps(&writer));
   table.Print();
 }

@@ -384,9 +384,7 @@ void BM_ProbeMaterializeThenAggregate(benchmark::State& state) {
   const ProbeBatch batch = MakeProbeBatch(kFuseProbeBatch);
   join::GroupByEngine agg(plan::AggFn::kSum);
   APU_CHECK_OK(agg.PrepareFused(n));
-  // Every build key holds one rid, so the batch bounds the pair count.
-  join::ResultWriter writer(kFuseProbeBatch, alloc::AllocatorKind::kOptimized,
-                            2048);
+  join::ResultWriter writer(alloc::AllocatorKind::kOptimized, 2048);
   writer.CaptureKeys();
   for (auto _ : state) {
     writer.Reset();
@@ -404,14 +402,16 @@ void BM_ProbeMaterializeThenAggregate(benchmark::State& state) {
     }
     // g1: rescan the writer's slots and fold them into the aggregate table.
     uint64_t work = 0;
-    const uint64_t slots = writer.used_slots();
-    const int32_t* keys = writer.key_data();
-    const int32_t* brids = writer.build_rid_data();
-    const int32_t* prids = writer.probe_rid_data();
-    for (uint64_t j = 0; j < slots; ++j) {
-      if (brids[j] < 0) continue;  // unclaimed block remainder
-      work += agg.Accumulate(keys[j], prids[j]);
-    }
+    writer.ForEachRun(
+        0, writer.used_slots(),
+        [&agg, &work](uint64_t, uint64_t n, const int32_t* brids,
+                      const int32_t* prids, const int32_t* keys) {
+          if (brids == nullptr) return;
+          for (uint64_t j = 0; j < n; ++j) {
+            if (brids[j] < 0) continue;  // unclaimed block remainder
+            work += agg.Accumulate(keys[j], prids[j]);
+          }
+        });
     benchmark::DoNotOptimize(work);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -43,6 +43,7 @@ class PairJoin {
 
   bool done() const { return r_cur_ == r_end_ && s_cur_ == s_end_; }
   uint64_t work() const { return work_; }
+  /// True when the build ran out of key or rid nodes.
   bool overflowed() const { return overflowed_; }
   void set_id(uint32_t id) { id_ = id; }
   uint32_t id() const { return id_; }
@@ -72,7 +73,7 @@ class PairJoin {
       if (node != join::kNil) {
         const int32_t srid = s_->rids[s_cur_];
         w += table_->ForEachRid(node, [this, srid, dev, wg](int32_t brid) {
-          if (!out_->Emit(brid, srid, dev, wg)) overflowed_ = true;
+          out_->Emit(brid, srid, dev, wg);
         });
       }
       work_ += w + 1;
@@ -158,14 +159,7 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
                            1024ull * spec.engine.block_bytes / 8;
   join::NodePools pools(key_cap, rid_cap, spec.engine.allocator,
                         spec.engine.block_bytes);
-  uint64_t result_cap = spec.result_capacity;
-  if (result_cap == 0) {
-    const uint64_t block_elems =
-        std::max<uint64_t>(1, spec.engine.block_bytes / 8);
-    result_cap = workload.expected_matches + 2048 * block_elems + 4096;
-  }
-  join::ResultWriter writer(result_cap, spec.engine.allocator,
-                            spec.engine.block_bytes);
+  join::ResultWriter writer(spec.engine.allocator, spec.engine.block_bytes);
 
   std::vector<std::unique_ptr<PairJoin>> pairs;
   pairs.reserve(parts);
@@ -296,30 +290,19 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   report.steps.push_back(sr);
 
   for (const auto& pj : pairs) {
-    if (pj->overflowed()) report.overflowed = true;
+    if (pj->overflowed()) {
+      return Status::ResourceExhausted(
+          "coarse pair-join node pool exhausted during the build; rows are "
+          "missing from the tables");
+    }
   }
   report.matches = writer.count();
-  report.dropped_matches = writer.dropped();
-  report.overflowed |= writer.dropped() > 0;
   report.breakdown = ctx->log();
   report.elapsed_ns = ctx->log().TotalNs();
   if (sim) report.estimated_ns = report.elapsed_ns - report.lock_ns;
   if (ctx->cache() != nullptr) {
     report.l2_accesses = ctx->cache()->accesses() - cache_acc0;
     report.l2_misses = ctx->cache()->misses() - cache_miss0;
-  }
-  if (report.overflowed && !spec.tolerate_overflow) {
-    if (writer.dropped() > 0) {
-      return Status::ResourceExhausted(
-          "coarse pair-join result buffer exhausted: " +
-          std::to_string(writer.dropped()) +
-          " matches dropped (raise JoinSpec::result_capacity or set "
-          "tolerate_overflow)");
-    }
-    return Status::ResourceExhausted(
-        "coarse pair-join node pool exhausted during the build; rows are "
-        "missing from the tables (set JoinSpec::tolerate_overflow to accept "
-        "a truncated result)");
   }
   return report;
 }

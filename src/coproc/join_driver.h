@@ -11,6 +11,11 @@
 // and reports wall-clock ns. Ratios follow one policy (coproc/ratio_policy.h):
 // the sim calibrates and optimizes them on the analytic model; a real
 // backend runs every step at ratio 1.0 and never consults the model.
+//
+// A join's result buffer grows with its matches (join/result_writer.h):
+// there is no capacity to set and no match is ever dropped. The one
+// ResourceExhausted a join returns is a build that ran out of hash-table
+// nodes, whose table would be missing rows.
 
 #ifndef APUJOIN_COPROC_JOIN_DRIVER_H_
 #define APUJOIN_COPROC_JOIN_DRIVER_H_
@@ -47,15 +52,6 @@ struct JoinSpec {
   std::vector<double> partition_ratios;
   std::vector<double> build_ratios;
   std::vector<double> probe_ratios;
-
-  /// Result buffer capacity; 0 = auto from the workload's expected matches.
-  uint64_t result_capacity = 0;
-
-  /// By default an exhausted result buffer (or node pool) fails the join
-  /// with ResourceExhausted — a truncated result is data loss, not a result.
-  /// Set to keep the pre-existing report-and-truncate behaviour (the report
-  /// then carries `overflowed` and `dropped_matches`).
-  bool tolerate_overflow = false;
 
   /// Measured per-item unit costs from previous runs (owned by the caller,
   /// e.g. a RatioTuner). When set, entries with measurements replace their
@@ -98,8 +94,6 @@ struct StepReport {
   double unit_cpu_ns = 0.0;
   double unit_gpu_ns = 0.0;
   double gpu_divergence = 1.0;
-  /// Result pairs this step failed to emit (buffer exhaustion).
-  uint64_t dropped = 0;
 };
 
 /// Per-operator outcome of a plan execution (one entry per plan node the
@@ -134,9 +128,8 @@ struct JoinReport {
   std::vector<double> probe_ratios;
   uint64_t l2_accesses = 0;  ///< CacheSim counters (0 unless tracing)
   uint64_t l2_misses = 0;
-  bool overflowed = false;
-  /// Result pairs dropped on buffer exhaustion (only reachable with
-  /// JoinSpec::tolerate_overflow; otherwise the join fails instead).
+  /// Always 0: the result buffer grows, so no match is ever dropped. Kept
+  /// only for readers that still check it.
   uint64_t dropped_matches = 0;
   /// Per-operator timings/cardinalities, one entry per executed plan node
   /// (single-join runs carry exactly the join's entry).

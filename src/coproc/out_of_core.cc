@@ -279,8 +279,6 @@ StatusOr<OutOfCoreReport> ExecuteOutOfCore(exec::Backend* backend,
     report.partition_ns = rep->breakdown.Get(Phase::kPartition);
     report.join_ns = rep->elapsed_ns - report.partition_ns;
     report.matches = rep->matches;
-    report.overflowed = rep->overflowed;
-    report.dropped_matches = rep->dropped_matches;
     report.chunked = false;
     report.wall_ns = ElapsedNs(wall0);
     return report;
@@ -312,10 +310,7 @@ StatusOr<OutOfCoreReport> ExecuteOutOfCore(exec::Backend* backend,
                                    spec.chunk_tuples, spec.inner, &s_parts,
                                    &report));
 
-  // Join each linked partition pair inside the buffer. Overflow is
-  // aggregated across every pair — a later pair's clean join must not
-  // clobber an earlier pair's drops — and tolerate_overflow is honored
-  // once, after all pairs ran.
+  // Join each linked partition pair inside the buffer.
   double prev_join_window_ns = 0.0;  // join time of the previously joined pair
   for (uint32_t p = 0; p < parts; ++p) {
     if (r_parts[p].empty() || s_parts[p].empty()) continue;
@@ -323,23 +318,18 @@ StatusOr<OutOfCoreReport> ExecuteOutOfCore(exec::Backend* backend,
     pair.build = std::move(r_parts[p]);
     pair.probe = std::move(s_parts[p]);
     pair.spec = workload.spec;
-    pair.expected_matches = pair.probe.size();  // FK-join upper bound
+    // FK-join upper bound; it only sets the sim's calibration match rate.
+    pair.expected_matches = pair.probe.size();
     const double pair_copy_ns = ctx->memory().BufferCopyNs(
         static_cast<double>(pair.build.bytes() + pair.probe.bytes()));
     report.copy_ns += pair_copy_ns;
-    JoinSpec inner = spec.inner;
-    // Per-pair overflow must not abort mid-stream: aggregate every pair's
-    // counts and apply the caller's tolerance to the total below.
-    inner.tolerate_overflow = true;
-    auto rep = ExecutePlan(backend, MakeSingleJoinPlan(pair, inner));
+    auto rep = ExecutePlan(backend, MakeSingleJoinPlan(pair, spec.inner));
     if (!rep.ok()) return rep.status();
     const double pair_join_ns =
         rep->elapsed_ns - rep->breakdown.Get(Phase::kPartition);
     report.join_ns += pair_join_ns;
     report.partition_ns += rep->breakdown.Get(Phase::kPartition);
     report.matches += rep->matches;
-    report.overflowed |= rep->overflowed;
-    report.dropped_matches += rep->dropped_matches;
     if (pipelined && sim) {
       // Pair staging pipelines the same way the chunk staging does: pair
       // p's copy into the buffer hides behind pair p-1's join window (the
@@ -356,15 +346,6 @@ StatusOr<OutOfCoreReport> ExecuteOutOfCore(exec::Backend* backend,
   report.elapsed_ns = report.partition_ns + report.join_ns + report.copy_ns -
                       report.overlap_ns;
   report.wall_ns = ElapsedNs(wall0);
-  if (report.overflowed && !spec.inner.tolerate_overflow) {
-    return Status::ResourceExhausted(
-        "out-of-core join overflowed: " +
-        std::to_string(report.dropped_matches) + " of " +
-        std::to_string(report.matches + report.dropped_matches) +
-        " matches dropped across " + std::to_string(parts) +
-        " partition pairs (raise JoinSpec::result_capacity or set "
-        "tolerate_overflow)");
-  }
   return report;
 }
 

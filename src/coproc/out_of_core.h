@@ -57,13 +57,6 @@ struct OutOfCoreReport {
   /// prefetch was vetoed by stream_budget_bytes, or when nothing chunked).
   uint64_t prefetched_chunks = 0;
   bool chunked = false;  ///< false when the input fit the buffer directly
-  /// Overflow accounting aggregated across every chunk join: a later
-  /// chunk's clean join never clears an earlier chunk's overflow, and
-  /// JoinSpec::tolerate_overflow is honored once, at the end — when unset,
-  /// any aggregated overflow fails the whole join with ResourceExhausted
-  /// (after all pairs ran, so the counts below are totals).
-  bool overflowed = false;
-  uint64_t dropped_matches = 0;
 };
 
 /// Joins `workload` even when it exceeds the zero-copy buffer. Every chunk

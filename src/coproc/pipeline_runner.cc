@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,7 +37,6 @@ struct Driver {
   exec::Backend* backend;
   simcl::SimContext* ctx;
   const JoinSpec& spec;
-  join::ResultWriter* writer = nullptr;  ///< for per-phase dropped deltas
   JoinReport report;
   cost::CommSpec comm;
   double estimated_ns = 0.0;
@@ -90,7 +88,6 @@ struct Driver {
                         double gpu_start_delay,
                         const std::vector<uint32_t>* pair_offsets = nullptr,
                         bool estimate = true) {
-    const uint64_t dropped0 = writer != nullptr ? writer->dropped() : 0;
     SeriesResult res;
     if (spec.scheme == Scheme::kBasicUnit) {
       BasicUnitOptions bu;
@@ -114,9 +111,16 @@ struct Driver {
       SeriesOptions opts;
       opts.ratios = plan.ratios;
       opts.drain_alloc = drain;
-      res = pair_offsets != nullptr
-                ? RunSeriesPairBlocked(backend, steps, opts, *pair_offsets)
-                : RunSeries(backend, steps, opts);
+      if (pair_offsets != nullptr) {
+        std::vector<PairSeriesGroup> one(1);
+        one[0].steps = &steps;
+        one[0].ratios = plan.ratios;
+        one[0].offsets = pair_offsets;
+        RunSeriesPairBlockedGroups(backend, one, opts);
+        res = std::move(one[0].result);
+      } else {
+        res = RunSeries(backend, steps, opts);
+      }
     }
     double elapsed = res.elapsed_ns;
     if (gpu_start_delay > 0.0) {
@@ -130,10 +134,6 @@ struct Driver {
     }
     ctx->log().Add(phase, elapsed);
     AbsorbStepReports(phase_name, res, plan.costs);
-    if (writer != nullptr && !report.steps.empty()) {
-      // Drops can only come from this phase's emitting step (the last one).
-      report.steps.back().dropped += writer->dropped() - dropped0;
-    }
     if (estimate) estimated_ns += plan.estimated_ns + gpu_start_delay;
     return res;
   }
@@ -213,6 +213,14 @@ std::string NodePath(const plan::Graph& g, int idx) {
 }
 
 alloc::AllocCounts NoAlloc() { return alloc::AllocCounts{}; }
+
+/// A build that ran out of key or rid nodes left rows out of its table; a
+/// result computed from it would be silently short.
+Status NodePoolExhausted() {
+  return Status::ResourceExhausted(
+      "hash-table node pool exhausted during the build; rows are missing "
+      "from the table");
+}
 
 // ---------------------------------------------------------------------------
 // Operator runners. Each appends its step reports / phase times / operator
@@ -317,7 +325,7 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       const double back = ctx->TransferToDevice(result_bytes);
       drv.estimated_ns += back;
     }
-    drv.report.overflowed = engine.overflowed();
+    if (engine.overflowed()) return NodePoolExhausted();
   } else {
     // ---- PHJ ----
     join::PhjEngine engine(ctx, &build, &probe, spec.engine);
@@ -391,16 +399,11 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       groups[1].offsets = &engine.probe_partitioner()->offsets();
       SeriesOptions jopts;
       jopts.drain_alloc = drain;
-      const uint64_t dropped0 = writer.dropped();
       RunSeriesPairBlockedGroups(drv.backend, groups, jopts);
       drv.AbsorbSeries("build", Phase::kBuild, groups[0].result,
                        bplan->costs);
       drv.AbsorbSeries("probe", Phase::kProbe, groups[1].result,
                        pplan->costs);
-      if (!drv.report.steps.empty()) {
-        // Only the probe's emitting step (absorbed last) can drop pairs.
-        drv.report.steps.back().dropped += writer.dropped() - dropped0;
-      }
     } else {
       // Separate tables (and BasicUnit) keep distinct build/probe phases
       // with an explicit merge in between. Their series estimates are
@@ -440,7 +443,7 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       }
     }
     drv.estimated_ns += bplan->estimated_ns + pplan->estimated_ns;
-    drv.report.overflowed = engine.overflowed();
+    if (engine.overflowed()) return NodePoolExhausted();
   }
 
   OperatorReport op;
@@ -593,7 +596,7 @@ Status RunMultiwayOp(Driver& drv,
   if (!pplan.ok()) return pplan.status();
   drv.report.probe_ratios = pplan->ratios;
   drv.RunPhase("probe-chain", Phase::kProbe, psteps, *pplan, drain, 0.0);
-  drv.report.overflowed = engine.overflowed();
+  if (engine.overflowed()) return NodePoolExhausted();
 
   OperatorReport op;
   op.path = op_path;
@@ -765,36 +768,16 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
   }
 
   // ---- fused HashJoin→GroupBy? ----
-  bool groupby_fused =
+  const bool groupby_fused =
       has_groupby && fusion.fused[join_idx] != 0 && !select_emptied;
-  if (groupby_fused) {
-    // The aggregate table uses INT32_MIN as its empty-slot sentinel; a key
-    // carrying it could never claim a slot. Surviving keys are a subset of
-    // the build keys, so one build-side scan is a conservative guard.
-    for (const int32_t k : inputs[0]->keys) {
-      if (k == std::numeric_limits<int32_t>::min()) {
-        groupby_fused = false;
-        break;
-      }
-    }
-  }
 
   // ---- result buffer ----
+  // The writer grows with the pairs actually emitted (none under a fused
+  // group-by); `expected` only sets the calibration match rate.
   uint64_t expected = plan.expected_matches;
   if (expected == PlanSpec::kAutoMatches) expected = inputs.back()->size();
-  // Expected matches + slack for stranded block remainders. A fused
-  // group-by never materializes pairs — its writer only backstops the
-  // allocator-drain plumbing, so the big buffer is skipped entirely.
-  uint64_t result_cap = spec.result_capacity;
-  if (result_cap == 0) {
-    const uint64_t block_elems =
-        std::max<uint64_t>(1, spec.engine.block_bytes / 8);
-    result_cap = groupby_fused ? 64 : expected + 2048 * block_elems + 4096;
-  }
-  join::ResultWriter writer(result_cap, spec.engine.allocator,
-                            spec.engine.block_bytes);
+  join::ResultWriter writer(spec.engine.allocator, spec.engine.block_bytes);
   if (has_groupby && !groupby_fused) writer.CaptureKeys();
-  drv.writer = &writer;
 
   std::unique_ptr<join::GroupByEngine> fused_agg;
   if (groupby_fused) {
@@ -865,8 +848,6 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
 
   drv.report.matches =
       fused_agg != nullptr ? fused_agg->total_count() : writer.count();
-  drv.report.dropped_matches = writer.dropped();
-  drv.report.overflowed |= writer.dropped() > 0;
   drv.report.breakdown = ctx->log();
   drv.report.elapsed_ns = ctx->log().TotalNs();
   // The model prices the simulated APU; a real backend reports no estimate.
@@ -874,22 +855,6 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
   if (ctx->cache() != nullptr) {
     drv.report.l2_accesses = ctx->cache()->accesses() - cache_acc0;
     drv.report.l2_misses = ctx->cache()->misses() - cache_miss0;
-  }
-  if (drv.report.overflowed && !spec.tolerate_overflow) {
-    // A truncated result is data loss; callers used to have to notice the
-    // `overflowed` flag themselves (and often didn't).
-    if (writer.dropped() > 0) {
-      return Status::ResourceExhausted(
-          "join result buffer exhausted: " +
-          std::to_string(writer.dropped()) + " of " +
-          std::to_string(writer.count() + writer.dropped()) +
-          " matches dropped (capacity " + std::to_string(writer.capacity()) +
-          "; raise JoinSpec::result_capacity or set tolerate_overflow)");
-    }
-    return Status::ResourceExhausted(
-        "hash-table node pool exhausted during the build; rows are missing "
-        "from the table (set JoinSpec::tolerate_overflow to accept a "
-        "truncated result)");
   }
   return drv.report;
 }

@@ -26,8 +26,7 @@
 // the emitting probe step for p4g, which streams every match straight into
 // the group-by accumulators — no rid-pair buffer, no g1 rescan. The runner
 // demotes fusion where the execution spec rules it out (discrete
-// co-processing; a build key colliding with the aggregate table's
-// INT32_MIN sentinel). Fused operators are flagged in
+// co-processing). Fused operators are flagged in
 // JoinReport::operators[i].fused, and the fused step's time is split
 // between the logical operators (the group-by gets the calibrated
 // standalone-g1 share, capped at the fused step's measured time). With
@@ -50,22 +49,21 @@
 namespace apujoin::coproc {
 
 /// Everything needed to run one plan: the operator tree plus the execution
-/// knobs (scheme, engine options, ratio overrides, capacities) that apply
-/// to its series.
+/// knobs (scheme, engine options, ratio overrides) that apply to its
+/// series.
 struct PlanSpec {
   plan::Graph graph;
   /// Execution knobs, shared by every operator of the plan. Relations are
   /// named by the graph's Scan nodes, never by `exec`.
   JoinSpec exec;
 
-  /// Sentinel: size the result buffer from the probe input instead of a
-  /// caller-known match count.
+  /// Sentinel: assume one match per probe tuple instead of a caller-known
+  /// match count.
   static constexpr uint64_t kAutoMatches = ~0ull;
-  /// Expected join matches, used (exactly like the workload's expected
-  /// count before plans existed) for result-buffer sizing and the
-  /// calibration match rate. kAutoMatches falls back to the probe
-  /// cardinality — set it (or JoinSpec::result_capacity) for joins that
-  /// fan out.
+  /// Expected join matches. It only sets the sim's calibration match rate
+  /// (matches / probe tuples); the result buffer grows with the real
+  /// matches, so a wrong guess never fails or truncates a join.
+  /// kAutoMatches falls back to the probe cardinality.
   uint64_t expected_matches = kAutoMatches;
   /// Probe-skew fraction of the workload (feeds calibration and the
   /// locality-boost default), 0 for uniform data.

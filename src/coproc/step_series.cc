@@ -204,24 +204,6 @@ void InitSeriesResult(const std::vector<join::StepDef>& steps,
 
 }  // namespace
 
-SeriesResult RunSeriesPairBlocked(exec::Backend* backend,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets) {
-  APU_CHECK(opts.ratios.size() == steps.size() &&
-            "one ratio per step (driver validates before this layer)");
-  SeriesResult result;
-  InitSeriesResult(steps, opts.ratios, &result);
-  for (size_t p = 0; p + 1 < offsets.size(); ++p) {
-    if (offsets[p + 1] <= offsets[p]) continue;
-    RunOnePairSeries(backend, steps, opts.ratios, opts.drain_alloc,
-                     opts.comm_bytes_per_item, offsets[p], offsets[p + 1],
-                     &result);
-  }
-  result.modeled_elapsed_ns = result.elapsed_ns - result.lock_ns;
-  return result;
-}
-
 void RunSeriesPairBlockedGroups(exec::Backend* backend,
                                 std::vector<PairSeriesGroup>& groups,
                                 const SeriesOptions& shared_opts) {
@@ -316,21 +298,6 @@ SeriesResult RunSeries(simcl::SimContext* ctx,
                        const SeriesOptions& opts) {
   exec::SimBackend backend(ctx);
   return RunSeries(&backend, steps, opts);
-}
-
-SeriesResult RunSeriesPairBlocked(simcl::SimContext* ctx,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets) {
-  exec::SimBackend backend(ctx);
-  return RunSeriesPairBlocked(&backend, steps, opts, offsets);
-}
-
-void RunSeriesPairBlockedGroups(simcl::SimContext* ctx,
-                                std::vector<PairSeriesGroup>& groups,
-                                const SeriesOptions& shared_opts) {
-  exec::SimBackend backend(ctx);
-  RunSeriesPairBlockedGroups(&backend, groups, shared_opts);
 }
 
 SeriesResult RunSeriesBasicUnit(simcl::SimContext* ctx,

@@ -70,23 +70,10 @@ SeriesResult RunSeries(simcl::SimContext* ctx,
                        std::vector<join::StepDef>& steps,
                        const SeriesOptions& opts);
 
-/// Pair-blocked execution of a step series (the fine-grained PHJ join
-/// phase): the whole series runs to completion on partition pair p before
-/// pair p+1 starts, so a pair's hash table stays L2-resident across all its
-/// steps — the cache-reuse effect Table 3 quantifies. `offsets` are the
-/// P+1 partition boundaries; within each pair the CPU takes the first
-/// ratio_i share of that pair's items.
-SeriesResult RunSeriesPairBlocked(exec::Backend* backend,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets);
-SeriesResult RunSeriesPairBlocked(simcl::SimContext* ctx,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets);
-
 /// One series of a pair-blocked group (e.g. build or probe of the PHJ join
-/// phase). `offsets` has P+1 boundaries into this series' item space.
+/// phase). `offsets` has P+1 boundaries into this series' item space;
+/// within each pair the CPU takes the first ratio_i share of that pair's
+/// items.
 struct PairSeriesGroup {
   std::vector<join::StepDef>* steps = nullptr;
   std::vector<double> ratios;
@@ -94,13 +81,13 @@ struct PairSeriesGroup {
   SeriesResult result;  ///< filled by RunSeriesPairBlockedGroups
 };
 
-/// Executes several series pair-by-pair: partition pair p runs *all* groups
-/// (build then probe, per Algorithm 2 "apply SHJ on each partition pair")
-/// before pair p+1 starts. All groups must agree on the partition count.
+/// Pair-blocked execution (the fine-grained PHJ join phase): partition
+/// pair p runs *all* groups to completion (build then probe, per Algorithm
+/// 2 "apply SHJ on each partition pair") before pair p+1 starts, so a
+/// pair's hash table stays L2-resident across all its steps — the
+/// cache-reuse effect Table 3 quantifies. A single group runs one series
+/// pair by pair. All groups must agree on the partition count.
 void RunSeriesPairBlockedGroups(exec::Backend* backend,
-                                std::vector<PairSeriesGroup>& groups,
-                                const SeriesOptions& shared_opts);
-void RunSeriesPairBlockedGroups(simcl::SimContext* ctx,
                                 std::vector<PairSeriesGroup>& groups,
                                 const SeriesOptions& shared_opts);
 

@@ -51,15 +51,15 @@ apujoin::StatusOr<coproc::JoinReport> CoupledJoiner::Join(
 
 apujoin::StatusOr<coproc::JoinReport> CoupledJoiner::Join(
     const data::Relation& build, const data::Relation& probe) {
-  data::Workload workload;
-  workload.build = build;
-  workload.probe = probe;
-  workload.spec.build_tuples = build.size();
-  workload.spec.probe_tuples = probe.size();
-  // Unknown selectivity: assume every probe tuple may match once (the FK
-  // upper bound); the result buffer grows from this estimate.
-  workload.expected_matches = probe.size();
-  return RunTuned(workload);
+  // Unknown selectivity and skew: calibration takes the plan's defaults
+  // (one match per probe tuple, uniform keys); the result grows with the
+  // real matches.
+  coproc::PlanSpec plan;
+  const int b = plan.graph.AddScan(&build);
+  const int p = plan.graph.AddScan(&probe);
+  plan.graph.AddHashJoin(b, p);
+  plan.exec = config_.spec;
+  return RunPlan(plan);
 }
 
 apujoin::StatusOr<coproc::JoinReport> CoupledJoiner::JoinCoarse(

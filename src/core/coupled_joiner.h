@@ -66,8 +66,10 @@ class CoupledJoiner {
   /// Runs the configured join on a generated workload.
   apujoin::StatusOr<coproc::JoinReport> Join(const data::Workload& workload);
 
-  /// Runs the configured join on raw relations (match count unknown up
-  /// front; the result buffer is sized from the probe cardinality).
+  /// Runs the configured join on raw relations, in place: a one-HashJoin
+  /// plan over them through RunPlan. The match count need not be known —
+  /// it only sets the sim's calibration match rate (one per probe tuple
+  /// assumed), and the result grows with any fan-out.
   apujoin::StatusOr<coproc::JoinReport> Join(const data::Relation& build,
                                              const data::Relation& probe);
 

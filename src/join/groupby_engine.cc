@@ -36,44 +36,21 @@ apujoin::Status GroupByEngine::Prepare() {
         "group-by input writer did not capture keys; the plan lowering must "
         "call ResultWriter::CaptureKeys before the join runs");
   }
-  // Distinct keys <= emitted tuples, so 2x emitted slots keeps the load
-  // factor at or below one half and linear probes short.
-  const uint32_t cap =
-      NextPow2(std::max<uint64_t>(16, results_->count() * 2));
-  mask_ = cap - 1;
-  keys_ = std::vector<std::atomic<int32_t>>(cap);
-  values_ = std::vector<std::atomic<int64_t>>(cap);
-  counts_ = std::vector<std::atomic<uint64_t>>(cap);
-  const int64_t init = AggInitValue(agg_);
-  for (uint32_t i = 0; i < cap; ++i) {
-    // relaxed: single-threaded setup, before any kernel runs.
-    keys_[i].store(kEmptyKey, std::memory_order_relaxed);
-    values_[i].store(init, std::memory_order_relaxed);
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
-  // The sentinel doubles as the empty-slot marker, so a tuple carrying it
-  // could never claim a slot — reject up front instead of looping forever.
-  const uint64_t used = results_->used_slots();
-  const int32_t* brids = results_->build_rid_data();
-  const int32_t* keys = results_->key_data();
-  for (uint64_t i = 0; i < used; ++i) {
-    if (brids[i] >= 0 && keys[i] == kEmptyKey) {
-      return apujoin::Status::InvalidArgument(
-          "group-by key INT32_MIN collides with the aggregate table's "
-          "empty-slot sentinel");
-    }
-  }
-  return apujoin::Status::OK();
+  // Distinct keys <= emitted tuples.
+  return PrepareFused(results_->count());
 }
 
 apujoin::Status GroupByEngine::PrepareFused(uint64_t max_distinct) {
+  // 2x the distinct bound keeps the load factor at or below one half and
+  // linear probes short; one more slot, past the probe range, is
+  // kEmptyKey's.
   const uint32_t cap = NextPow2(std::max<uint64_t>(16, max_distinct * 2));
   mask_ = cap - 1;
-  keys_ = std::vector<std::atomic<int32_t>>(cap);
-  values_ = std::vector<std::atomic<int64_t>>(cap);
-  counts_ = std::vector<std::atomic<uint64_t>>(cap);
+  keys_ = std::vector<std::atomic<int32_t>>(cap + 1);
+  values_ = std::vector<std::atomic<int64_t>>(cap + 1);
+  counts_ = std::vector<std::atomic<uint64_t>>(cap + 1);
   const int64_t init = AggInitValue(agg_);
-  for (uint32_t i = 0; i < cap; ++i) {
+  for (uint32_t i = 0; i <= cap; ++i) {
     // relaxed: single-threaded setup, before any kernel runs.
     keys_[i].store(kEmptyKey, std::memory_order_relaxed);
     values_[i].store(init, std::memory_order_relaxed);
@@ -83,33 +60,38 @@ apujoin::Status GroupByEngine::PrepareFused(uint64_t max_distinct) {
 }
 
 std::vector<StepDef> GroupByEngine::Steps() {
-  const int32_t* brids = results_->build_rid_data();
-  const int32_t* prids = results_->probe_rid_data();
-  const int32_t* rkeys = results_->key_data();
+  const ResultWriter* results = results_;
   const uint32_t dist = prefetch_dist_;
-  const uint64_t n = results_->used_slots();
 
   std::vector<StepDef> steps;
   StepDef g1;
   g1.name = "g1";
   g1.profile = GroupAggProfile(TableWorkingSetBytes());
-  g1.items = n;
-  g1.run = [this, brids, prids, rkeys, dist, n](const Morsel& m, DeviceId,
-                                                uint32_t* lw) -> uint64_t {
+  g1.items = results->used_slots();
+  g1.run = [this, results, dist](const Morsel& m, DeviceId,
+                                 uint32_t* lw) -> uint64_t {
     uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (dist != 0 && i + dist < n && brids[i + dist] >= 0) {
-        // Hash-derived slot line of the tuple `dist` ahead.
-        const uint32_t hb =
-            MurmurHash2x4(static_cast<uint32_t>(rkeys[i + dist])) & mask_;
-        __builtin_prefetch(&keys_[hb], 1, 3);
-      }
-      uint32_t work = 1;
-      if (brids[i] >= 0) {  // skip unclaimed block-remainder slots
-        work = Accumulate(rkeys[i], prids[i]);
-      }
-      total += RecordWork(lw, m, i, work);
-    }
+    results->ForEachRun(
+        m.begin, m.end,
+        [&](uint64_t first, uint64_t n, const int32_t* brids,
+            const int32_t* prids, const int32_t* rkeys) {
+          for (uint64_t j = 0; j < n; ++j) {
+            uint32_t work = 1;
+            // A run without columns holds only unclaimed slots.
+            if (brids != nullptr) {
+              if (dist != 0 && j + dist < n && brids[j + dist] >= 0) {
+                // Hash-derived slot line of the tuple `dist` ahead.
+                const uint32_t hb =
+                    MurmurHash2x4(static_cast<uint32_t>(rkeys[j + dist])) &
+                    mask_;
+                __builtin_prefetch(&keys_[hb], 1, 3);
+              }
+              // Skip unclaimed block-remainder slots.
+              if (brids[j] >= 0) work = Accumulate(rkeys[j], prids[j]);
+            }
+            total += RecordWork(lw, m, first + j, work);
+          }
+        });
     return total;
   };
   steps.push_back(std::move(g1));

@@ -13,6 +13,10 @@
 // distinct-key bound and the join's probe kernels call Accumulate() per
 // match instead of emitting <build rid, probe rid> pairs through a result
 // writer — the pair materialization and the g1 rescan both disappear.
+//
+// Every int32 key is a valid group key. INT32_MIN doubles as the probe
+// range's empty-slot marker, so that one key value owns a reserved slot
+// just past the probe range instead of claiming one inside it.
 
 #ifndef APUJOIN_JOIN_GROUPBY_ENGINE_H_
 #define APUJOIN_JOIN_GROUPBY_ENGINE_H_
@@ -43,14 +47,11 @@ class GroupByEngine {
   /// from the join's probe kernels. Size with PrepareFused().
   explicit GroupByEngine(plan::AggFn agg);
 
-  /// Sizes the aggregate table (load factor <= 1/2) and rejects inputs
-  /// whose keys collide with the empty-slot sentinel.
+  /// Sizes the aggregate table (load factor <= 1/2).
   apujoin::Status Prepare();
 
   /// Fused mode: sizes the aggregate table for at most `max_distinct`
-  /// distinct keys (load factor <= 1/2). The caller must guarantee no
-  /// accumulated key equals kEmptyKey — the pipeline runner scans the
-  /// build keys and demotes fusion when the sentinel appears.
+  /// distinct keys (load factor <= 1/2).
   apujoin::Status PrepareFused(uint64_t max_distinct);
 
   /// The aggregation step series (g1) over the writer's used slots.
@@ -58,25 +59,30 @@ class GroupByEngine {
 
   /// Folds one result tuple into the aggregate table; safe to call
   /// concurrently from any kernel. Returns the slot probes performed (the
-  /// caller's work units). `key` must not equal kEmptyKey.
+  /// caller's work units).
   uint32_t Accumulate(int32_t key, int64_t val) {
     uint32_t work = 1;
-    uint32_t b = MurmurHash2x4(static_cast<uint32_t>(key)) & mask_;
-    for (;;) {
-      // relaxed: the slot's key IS the atomic value — a successful CAS
-      // publishes it; aggregate slots are read only after the span
-      // barrier, so no ordering beyond the RMW itself is needed.
-      int32_t cur = keys_[b].load(std::memory_order_relaxed);
-      if (cur == kEmptyKey) {
-        if (keys_[b].compare_exchange_strong(cur, key,
-                                             std::memory_order_relaxed)) {
-          cur = key;
+    // kEmptyKey owns the reserved slot past the probe range (its key word
+    // already reads kEmptyKey, so Materialize reports it like any other).
+    uint32_t b = mask_ + 1;
+    if (key != kEmptyKey) {
+      b = MurmurHash2x4(static_cast<uint32_t>(key)) & mask_;
+      for (;;) {
+        // relaxed: the slot's key IS the atomic value — a successful CAS
+        // publishes it; aggregate slots are read only after the span
+        // barrier, so no ordering beyond the RMW itself is needed.
+        int32_t cur = keys_[b].load(std::memory_order_relaxed);
+        if (cur == kEmptyKey) {
+          if (keys_[b].compare_exchange_strong(cur, key,
+                                               std::memory_order_relaxed)) {
+            cur = key;
+          }
+          // CAS failure loads the racing claimant's key into `cur`.
         }
-        // CAS failure loads the racing claimant's key into `cur`.
+        if (cur == key) break;
+        b = (b + 1) & mask_;
+        ++work;
       }
-      if (cur == key) break;
-      b = (b + 1) & mask_;
-      ++work;
     }
     // relaxed: commutative statistics updates, read after the barrier.
     counts_[b].fetch_add(1, std::memory_order_relaxed);
@@ -114,21 +120,22 @@ class GroupByEngine {
   /// Total tuples accumulated (= the join's match count in fused mode).
   uint64_t total_count() const;
   double TableWorkingSetBytes() const {
-    // key word + value + count per slot.
-    return static_cast<double>(keys_.size()) * 20.0;
+    // key word + value + count per probed slot (the reserved slot aside).
+    return keys_.empty() ? 0.0 : static_cast<double>(mask_ + 1) * 20.0;
   }
   plan::AggFn agg() const { return agg_; }
 
   /// Software-prefetch lookahead of the g1 scan loop (0 = off).
   void set_prefetch_dist(uint32_t dist) { prefetch_dist_ = dist; }
 
-  /// Key value reserved for empty slots; inputs containing it are rejected
-  /// by Prepare().
+  /// Key word of an empty probed slot; the key itself accumulates in the
+  /// reserved slot.
   static constexpr int32_t kEmptyKey = INT32_MIN;
 
  private:
   const ResultWriter* results_;
   plan::AggFn agg_;
+  /// Probe range [0, mask_]; slot mask_ + 1 is kEmptyKey's.
   uint32_t mask_ = 0;
   uint32_t prefetch_dist_ = 0;
   std::vector<std::atomic<int32_t>> keys_;

@@ -181,12 +181,13 @@ std::vector<StepDef> JoinPhase::ProbeSteps(const PhaseInput& s,
     std::vector<StepDef> steps = ProbeSeries<Table, decltype(wide)::value>(s);
     steps.push_back(MatchStep<Table>(
         "p4", EmitProfile(s.table_bytes, opts_.locality_boost), s,
-        [this, out](int32_t skey, int32_t brid, int32_t srid, DeviceId dev,
-                    uint32_t wg) {
-          const bool ok = out->captures_keys()
-                              ? out->Emit(skey, brid, srid, dev, wg)
-                              : out->Emit(brid, srid, dev, wg);
-          if (!ok) overflowed_ = true;
+        [out](int32_t skey, int32_t brid, int32_t srid, DeviceId dev,
+              uint32_t wg) {
+          if (out->captures_keys()) {
+            out->Emit(skey, brid, srid, dev, wg);
+          } else {
+            out->Emit(brid, srid, dev, wg);
+          }
         }));
     return steps;
   });

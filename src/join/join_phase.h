@@ -191,6 +191,7 @@ class JoinPhase {
     return part < v.size() ? v[part].get() : nullptr;
   }
 
+  /// True when a build ran out of key or rid nodes (rows are missing).
   bool overflowed() const {
     // relaxed: sticky flag read after the spans that may set it.
     return overflowed_.load(std::memory_order_relaxed);
@@ -237,7 +238,7 @@ class JoinPhase {
   EngineOptions opts_;
   TableSet<HashTable> chained_;
   TableSet<OpenHashTable> open_;
-  std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
+  std::atomic<bool> overflowed_{false};  // b3/b4 may set it concurrently
 
   std::vector<uint32_t> r_hash_, s_hash_;
   std::vector<uint32_t> r_bucket_, s_bucket_;

@@ -66,8 +66,6 @@ double MultiwayEngine::TablesWorkingSetBytes() const {
 }
 
 bool MultiwayEngine::overflowed() const {
-  // relaxed: sticky flag read after the spans that may set it.
-  if (overflowed_.load(std::memory_order_relaxed)) return true;
   for (const auto& e : engines_) {
     if (e->overflowed()) return true;
   }
@@ -190,7 +188,7 @@ std::vector<StepDef> MultiwayEngine::ChainStepsT(ResultWriter* out) {
   m4.name = "m4";
   m4.profile = EmitProfile(TablesWorkingSetBytes(), opts_.locality_boost);
   m4.items = np;
-  m4.run = [this, out, tables, keynodes, s_rids, s_keys, s_alive, last](
+  m4.run = [out, tables, keynodes, s_rids, s_keys, s_alive, last](
                const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
     const bool keyed = out->captures_keys();
     uint64_t total = 0;
@@ -207,11 +205,13 @@ std::vector<StepDef> MultiwayEngine::ChainStepsT(ResultWriter* out) {
         if (prod > 0) {
           work += tables[last]->ForEachRid(
               keynodes[last][i],
-              [this, out, keyed, skey, srid, dev, wg, prod](int32_t brid) {
+              [out, keyed, skey, srid, dev, wg, prod](int32_t brid) {
                 for (uint64_t c = 0; c < prod; ++c) {
-                  const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                        : out->Emit(brid, srid, dev, wg);
-                  if (!ok) overflowed_ = true;
+                  if (keyed) {
+                    out->Emit(skey, brid, srid, dev, wg);
+                  } else {
+                    out->Emit(brid, srid, dev, wg);
+                  }
                 }
               });
         }

@@ -18,7 +18,6 @@
 #ifndef APUJOIN_JOIN_MULTIWAY_ENGINE_H_
 #define APUJOIN_JOIN_MULTIWAY_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,6 +49,7 @@ class MultiwayEngine {
   /// The probe-chain step series m1, m2.k/m3.k per table, m4 over |S|.
   std::vector<StepDef> ChainSteps(ResultWriter* out);
 
+  /// True when a table's build ran out of key or rid nodes.
   bool overflowed() const;
 
   static constexpr size_t kMaxTables = 4;
@@ -75,7 +75,6 @@ class MultiwayEngine {
   std::vector<uint32_t> s_hash_;
   std::vector<std::vector<int32_t>> s_keynode_;
   std::vector<uint8_t> s_alive_;
-  std::atomic<bool> overflowed_{false};  // emit kernels may set concurrently
 };
 
 }  // namespace apujoin::join

@@ -90,7 +90,7 @@ class ShjEngine {
     return t != nullptr && t->uses_avx2();
   }
 
-  /// True if any kernel hit arena exhaustion.
+  /// True if the build ran out of key or rid nodes.
   bool overflowed() const { return phase_.overflowed(); }
 
   /// Estimated hash-table working set (bytes), used in step profiles.

@@ -16,10 +16,11 @@
 // What blocks fusion here: MultiwayJoin children (a Select under a
 // multi-way chain, or a GroupBy over one) keep the materialized lowering —
 // the chain kernels walk k tables per lane and already carry their own
-// dead-lane bookkeeping. Execution-level demotions (discrete co-processing
-// schemes, a group-by key colliding with the aggregate table's sentinel)
-// are applied by the pipeline runner, which knows the execution spec; this
-// pass only sees the tree.
+// dead-lane bookkeeping. The one execution-level demotion (discrete
+// co-processing keeps every boundary materialized) is applied by the
+// pipeline runner, which knows the execution spec; this pass only sees the
+// tree. Key values never block fusion: the aggregate table takes every
+// int32 key.
 
 #ifndef APUJOIN_PLAN_FUSION_H_
 #define APUJOIN_PLAN_FUSION_H_

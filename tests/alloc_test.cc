@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/arena.h"
 #include "alloc/basic_allocator.h"
 #include "alloc/block_allocator.h"
+#include "join/result_writer.h"
 
 namespace apujoin::alloc {
 namespace {
@@ -137,6 +140,67 @@ TEST(BlockAllocatorTest, FewerGlobalAtomicsThanBasic) {
   }
   EXPECT_LT(block.TakeCounts().global_atomics[1],
             basic.TakeCounts().global_atomics[1] / 10);
+}
+
+// The result writer reserves every slot through these allocators and grows
+// its columns in segments behind them. Eight threads emitting past the
+// first three segment boundaries (64Ki, 192Ki, 448Ki slots) must lose,
+// duplicate or tear nothing. 255-slot blocks straddle those boundaries.
+TEST(ResultWriterTest, ConcurrentEmitsGrowAcrossSegments) {
+  constexpr int kThreads = 8;
+  constexpr int32_t kPerThread = 1 << 16;
+  for (AllocatorKind kind : {AllocatorKind::kBasic, AllocatorKind::kOptimized}) {
+    SCOPED_TRACE(AllocatorKindName(kind));
+    join::ResultWriter writer(kind, 255 * 8);
+    writer.CaptureKeys();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&writer, t]() {
+        const DeviceId dev = t % 2 == 0 ? DeviceId::kCpu : DeviceId::kGpu;
+        for (int32_t i = 0; i < kPerThread; ++i) {
+          // Work groups are shared across threads, so block caches are
+          // contended too.
+          writer.Emit(/*key=*/i ^ t, /*build_rid=*/t, /*probe_rid=*/i, dev,
+                      static_cast<uint32_t>(i % 64));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    const uint64_t total = uint64_t{kThreads} * kPerThread;
+    EXPECT_EQ(writer.count(), total);
+    ASSERT_GT(writer.used_slots(), 7 * join::ResultWriter::kFirstSegment);
+    std::vector<std::pair<int32_t, int32_t>> pairs = writer.CollectPairs();
+    std::sort(pairs.begin(), pairs.end());
+    std::vector<std::pair<int32_t, int32_t>> want;
+    for (int32_t t = 0; t < kThreads; ++t) {
+      for (int32_t i = 0; i < kPerThread; ++i) want.emplace_back(t, i);
+    }
+    EXPECT_EQ(pairs, want);
+
+    // Every claimed slot carries the key emitted with its pair.
+    uint64_t keyed = 0;
+    writer.ForEachRun(0, writer.used_slots(),
+                      [&keyed](uint64_t, uint64_t n, const int32_t* build,
+                               const int32_t* probe, const int32_t* key) {
+                        ASSERT_NE(key, nullptr);
+                        if (build == nullptr) return;
+                        for (uint64_t j = 0; j < n; ++j) {
+                          if (build[j] < 0) continue;
+                          EXPECT_EQ(key[j], probe[j] ^ build[j]);
+                          ++keyed;
+                        }
+                      });
+    EXPECT_EQ(keyed, total);
+
+    // Reset keeps the segments but forgets every pair.
+    writer.Reset();
+    EXPECT_EQ(writer.count(), 0u);
+    EXPECT_TRUE(writer.CollectPairs().empty());
+    writer.Emit(5, 1, 2, DeviceId::kCpu, 0);
+    EXPECT_EQ(writer.CollectPairs(),
+              (std::vector<std::pair<int32_t, int32_t>>{{1, 2}}));
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "data/generator.h"
 #include "exec/backend.h"
 #include "exec/backend_kind.h"
+#include "fan_out.h"
 #include "join/reference_join.h"
 #include "plan/plan.h"
 
@@ -72,7 +73,6 @@ TEST_P(BackendParityTest, MatchesReferenceOnAllWorkloads) {
             .count());
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->matches, reference);
-    EXPECT_FALSE(report->overflowed);
     EXPECT_GT(report->elapsed_ns, 0.0);
     if (backend == exec::BackendKind::kThreadPool) {
       // Wall-clock semantics: the reported time covers step execution
@@ -356,6 +356,117 @@ TEST(RealPathRatioPolicy, OverridesApplyVerbatim) {
                           [](const exec::LaunchEvent& e) {
                             return e.device == simcl::DeviceId::kGpu;
                           }));
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out: results 256x the probe side. No entry point is told the match
+// count (expected_matches stays kAutoMatches, i.e. one per probe tuple);
+// the result buffer grows, so every run is exact.
+// ---------------------------------------------------------------------------
+
+/// Runs `plan` on a fresh sim context and its own backend.
+StatusOr<JoinReport> RunFresh(PlanSpec plan, exec::BackendKind backend) {
+  plan.exec.engine.backend = backend;
+  plan.exec.engine.threads = 4;
+  simcl::SimContext ctx;
+  return ExecutePlan(&ctx, plan);
+}
+
+class FanOutParityTest
+    : public ::testing::TestWithParam<
+          std::tuple<Algorithm, exec::HashLayout, exec::BackendKind>> {};
+
+TEST_P(FanOutParityTest, SingleJoinIsExact) {
+  const auto [algo, layout, backend] = GetParam();
+  const data::Workload w = data::FanOutWorkload();
+  const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+  ASSERT_EQ(reference, uint64_t{1} << 20);
+
+  PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int p = plan.graph.AddScan(&w.probe);
+  plan.graph.AddHashJoin(b, p);
+  plan.exec.algorithm = algo;
+  plan.exec.engine.layout = layout;
+  auto report = RunFresh(plan, backend);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->matches, reference);
+  EXPECT_EQ(report->operators.back().output_rows, reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCombinations, FanOutParityTest,
+    ::testing::Combine(::testing::Values(Algorithm::kSHJ, Algorithm::kPHJ),
+                       ::testing::Values(exec::HashLayout::kChained,
+                                         exec::HashLayout::kOpenAddressing),
+                       ::testing::Values(exec::BackendKind::kSim,
+                                         exec::BackendKind::kThreadPool)),
+    [](const auto& info) {
+      return std::string(AlgorithmName(std::get<0>(info.param))) + "_" +
+             exec::HashLayoutName(std::get<1>(info.param)) + "_" +
+             exec::BackendKindName(std::get<2>(info.param));
+    });
+
+TEST(FanOutParity, UnfusedJoinGroupByIsExact) {
+  const data::Workload w = data::FanOutWorkload();
+  // Oracle: key k has (build rows with k) x (probes with k) matches, each
+  // contributing its probe rid to the SUM.
+  std::map<int32_t, uint64_t> build_counts;
+  for (int32_t k : w.build.keys) ++build_counts[k];
+  std::map<int32_t, join::GroupRow> oracle;
+  uint64_t matches = 0;
+  for (size_t i = 0; i < w.probe.size(); ++i) {
+    const uint64_t n = build_counts[w.probe.keys[i]];
+    join::GroupRow& g = oracle[w.probe.keys[i]];
+    g.key = w.probe.keys[i];
+    g.count += n;
+    g.value += static_cast<int64_t>(n) * w.probe.rids[i];
+    matches += n;
+  }
+
+  PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int p = plan.graph.AddScan(&w.probe);
+  plan.graph.AddGroupBy(plan.graph.AddHashJoin(b, p), plan::AggFn::kSum);
+  plan.exec.algorithm = Algorithm::kSHJ;
+  plan.exec.engine.fuse = exec::FuseMode::kOff;
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kThreadPool}) {
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    auto report = RunFresh(plan, backend);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->matches, matches);
+    ASSERT_EQ(report->groups.size(), oracle.size());
+    auto want = oracle.begin();
+    for (const join::GroupRow& g : report->groups) {
+      EXPECT_EQ(g.key, want->second.key);
+      EXPECT_EQ(g.count, want->second.count);
+      EXPECT_EQ(g.value, want->second.value);
+      ++want;
+    }
+  }
+}
+
+TEST(FanOutParity, ThreeWayMultiwayChainIsExact) {
+  // 32 x 32 build rows per key: each of the 1,024 probes matches 1,024
+  // chains.
+  const data::Relation b0 = data::CyclicKeys(1 << 13, 256);
+  const data::Relation b1 = data::CyclicKeys(1 << 13, 256, 100000);
+  const data::Relation probe = data::CyclicKeys(1 << 10, 256, 5000);
+  const uint64_t matches = uint64_t{1} << 20;
+
+  PlanSpec plan;
+  const int n0 = plan.graph.AddScan(&b0);
+  const int n1 = plan.graph.AddScan(&b1);
+  const int p = plan.graph.AddScan(&probe);
+  plan.graph.AddMultiwayJoin({n0, n1}, p);
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kThreadPool}) {
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    auto report = RunFresh(plan, backend);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->matches, matches);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include "coproc/pipeline_runner.h"
 #include "coproc/coarse_grained.h"
+#include "exec/backend_kind.h"
+#include "fan_out.h"
+#include "join/reference_join.h"
 
 namespace apujoin::coproc {
 namespace {
@@ -23,7 +26,6 @@ TEST(CoarseGrainedTest, MatchesReference) {
   auto report = ExecuteCoarsePhj(&ctx, w, spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->matches, w.expected_matches);
-  EXPECT_FALSE(report->overflowed);
 }
 
 TEST(CoarseGrainedTest, SlowerThanFineGrainedPl) {
@@ -72,6 +74,25 @@ TEST(CoarseGrainedTest, PairRatioReported) {
   ASSERT_EQ(report->steps.size(), 1u);
   EXPECT_GT(report->steps[0].ratio, 0.0);
   EXPECT_LT(report->steps[0].ratio, 1.0);
+}
+
+TEST(CoarseGrainedTest, FanOutJoinIsExact) {
+  // 256 matches per probe tuple while the workload only claims one: the
+  // pair joins' shared result buffer grows past any guess.
+  const data::Workload w = data::FanOutWorkload();
+  const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kThreadPool}) {
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    simcl::SimContext ctx;
+    JoinSpec spec;
+    spec.engine.partitions = 16;
+    spec.engine.backend = backend;
+    spec.engine.threads = 2;
+    auto report = ExecuteCoarsePhj(&ctx, w, spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->matches, reference);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/coupled_joiner.h"
+#include "fan_out.h"
+#include "join/reference_join.h"
 
 namespace apujoin::core {
 namespace {
@@ -32,6 +34,12 @@ TEST(CoupledJoinerTest, JoinRawRelations) {
   auto report = joiner.Join(build, probe);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->matches, 3000u);
+
+  // Fan-out: 256 matches per probe tuple, with nothing telling the joiner.
+  const data::Workload fan = data::FanOutWorkload();
+  auto fanned = joiner.Join(fan.build, fan.probe);
+  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
+  EXPECT_EQ(fanned->matches, join::ReferenceMatchCount(fan.build, fan.probe));
 }
 
 TEST(CoupledJoinerTest, ConfigSelectsSchemeAndAlgorithm) {

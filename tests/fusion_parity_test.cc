@@ -229,7 +229,6 @@ TEST_P(FusionParityTest, FusedAgreesWithUnfused) {
             MakeSpec(backend, layout, algo, morsel, FuseMode::kAuto)));
 
         EXPECT_EQ(fused.matches, off.matches);
-        EXPECT_FALSE(fused.overflowed);
         ExpectSameGroups(fused.groups, off.groups);
 
         // Per-operator cardinalities agree; the fused flags record which
@@ -324,7 +323,6 @@ TEST(FusionParityWideTest, WideSelectJoinFusedAgreesWithUnfused) {
 
           EXPECT_EQ(off.matches, oracle);
           EXPECT_EQ(fused.matches, oracle);
-          EXPECT_FALSE(fused.overflowed);
           ASSERT_EQ(fused.operators.size(), off.operators.size());
           for (size_t i = 0; i < fused.operators.size(); ++i) {
             EXPECT_EQ(fused.operators[i].output_rows,
@@ -409,8 +407,7 @@ TEST_P(RidPairParityTest, ShjFusedSelectKeepsPairMultiset) {
     join::ShjEngine ref(&ctx_, side == 0 ? &filtered : &w->build,
                         side == 0 ? &w->probe : &filtered, opts);
     ASSERT_TRUE(ref.Prepare().ok());
-    join::ResultWriter ref_out(w->probe.size() * 2,
-                               alloc::AllocatorKind::kOptimized, 2048);
+    join::ResultWriter ref_out(alloc::AllocatorKind::kOptimized, 2048);
     RunSteps(ref.BuildSteps());
     ref.MergeSeparateTables();
     RunSteps(ref.ProbeSteps(&ref_out));
@@ -426,8 +423,7 @@ TEST_P(RidPairParityTest, ShjFusedSelectKeepsPairMultiset) {
     } else {
       eng.set_probe_filter(flags);
     }
-    join::ResultWriter fused_out(w->probe.size() * 2,
-                                 alloc::AllocatorKind::kOptimized, 2048);
+    join::ResultWriter fused_out(alloc::AllocatorKind::kOptimized, 2048);
     RunSteps(eng.BuildSteps());
     eng.MergeSeparateTables();
     RunSteps(eng.ProbeSteps(&fused_out));
@@ -459,8 +455,7 @@ TEST_P(RidPairParityTest, PhjFusedSelectKeepsPairMultiset) {
     RunPartitioner(&ctx_, ref.build_partitioner());
     RunPartitioner(&ctx_, ref.probe_partitioner());
     ASSERT_TRUE(ref.PrepareJoinPhase().ok());
-    join::ResultWriter ref_out(w->probe.size() * 2,
-                               alloc::AllocatorKind::kOptimized, 2048);
+    join::ResultWriter ref_out(alloc::AllocatorKind::kOptimized, 2048);
     RunSteps(ref.BuildSteps());
     ref.MergeSeparateTables();
     RunSteps(ref.ProbeSteps(&ref_out));
@@ -479,8 +474,7 @@ TEST_P(RidPairParityTest, PhjFusedSelectKeepsPairMultiset) {
     RunPartitioner(&ctx_, eng.build_partitioner());
     RunPartitioner(&ctx_, eng.probe_partitioner());
     ASSERT_TRUE(eng.PrepareJoinPhase().ok());
-    join::ResultWriter fused_out(w->probe.size() * 2,
-                                 alloc::AllocatorKind::kOptimized, 2048);
+    join::ResultWriter fused_out(alloc::AllocatorKind::kOptimized, 2048);
     RunSteps(eng.BuildSteps());
     eng.MergeSeparateTables();
     RunSteps(eng.ProbeSteps(&fused_out));
@@ -578,34 +572,6 @@ TEST(SimFuseOffTest, OffKeepsMaterializedSeriesAutoSwapsThem) {
 // Runner demotions: fusion must silently fall back where it cannot apply
 // ---------------------------------------------------------------------------
 
-TEST(FusionDemotionTest, SentinelBuildKeyDemotesGroupByFusion) {
-  // INT32_MIN is the aggregate table's empty-slot sentinel; a build side
-  // carrying it (even unmatched) demotes join→group-by fusion to the
-  // writer-mediated path.
-  Tables t;
-  t.build.Append(std::numeric_limits<int32_t>::min(), 0);
-  for (int32_t i = 1; i < 64; ++i) t.build.Append(i, i);
-  for (int32_t i = 0; i < 256; ++i) t.probe.Append(i % 64 != 0 ? i % 64 : 1,
-                                                   1000 + i);
-
-  PlanSpec plan;
-  const int b = plan.graph.AddScan(&t.build);
-  const int p = plan.graph.AddScan(&t.probe);
-  const int j = plan.graph.AddHashJoin(b, p);
-  plan.graph.AddGroupBy(j, plan::AggFn::kSum);
-  plan.exec = MakeSpec(BackendKind::kSim, HashLayout::kChained,
-                       Algorithm::kSHJ, 0, FuseMode::kAuto);
-  plan.expected_matches = 256;
-
-  const JoinReport report = MustRun(plan);
-  EXPECT_EQ(report.matches, 256u);
-  const OperatorReport* gb = FindOperator(report, "group-by");
-  ASSERT_NE(gb, nullptr);
-  EXPECT_FALSE(gb->fused);
-  EXPECT_TRUE(HasStep(report, "g1"));
-  EXPECT_FALSE(HasStep(report, "p4g"));
-}
-
 TEST(FusionDemotionTest, EmptyFusedSelectYieldsEmptyJoin) {
   const Tables t = MakeTables(Shape::kAllDuplicate);
   plan::Predicate pred;  // key == 12345 matches nothing (all keys are 7)
@@ -630,6 +596,92 @@ TEST(FusionDemotionTest, EmptyFusedSelectYieldsEmptyJoin) {
     const OperatorReport* sel_op = FindOperator(report, "select");
     ASSERT_NE(sel_op, nullptr);
     EXPECT_EQ(sel_op->output_rows, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Key values never demote fusion: the aggregate table takes every int32 key
+// ---------------------------------------------------------------------------
+
+TEST(FusionKeyTest, Int32MinKeyMatchesUnderEveryAggregate) {
+  // INT32_MIN marks the aggregate table's empty probed slots, so the key
+  // itself lives in a reserved slot. It matches here (twice per probe, with
+  // its neighbours in key space alongside) and must group exactly, fused
+  // or not, on both backends.
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  Tables t;
+  t.build.Append(kMin, 0);
+  t.build.Append(kMin, 1);
+  t.build.Append(kMin + 1, 2);
+  t.build.Append(kMax, 3);
+  for (int32_t i = 0; i < 60; ++i) t.build.Append(i - 30, 4 + i);
+  const int32_t probe_keys[] = {kMin, kMin + 1, kMax, -1, 0, 7, 12345};
+  for (int32_t i = 0; i < 256; ++i) {
+    t.probe.Append(probe_keys[i % 7], 1000 + i);
+  }
+
+  // Scalar oracle over the join's (key, probe rid) matches.
+  std::map<int32_t, uint64_t> build_counts = FilteredKeyCounts(t.build,
+                                                               nullptr);
+  std::map<int32_t, std::vector<int64_t>> matched;
+  for (uint64_t i = 0; i < t.probe.size(); ++i) {
+    const auto it = build_counts.find(t.probe.keys[i]);
+    if (it == build_counts.end()) continue;
+    for (uint64_t c = 0; c < it->second; ++c) {
+      matched[it->first].push_back(t.probe.rids[i]);
+    }
+  }
+  ASSERT_EQ(matched.begin()->first, kMin);
+  const uint64_t matches = OracleJoinMatches(build_counts, t.probe);
+
+  for (plan::AggFn agg : {plan::AggFn::kCount, plan::AggFn::kSum,
+                          plan::AggFn::kMin, plan::AggFn::kMax}) {
+    std::vector<join::GroupRow> oracle;
+    for (const auto& [key, vals] : matched) {
+      join::GroupRow g;
+      g.key = key;
+      g.count = vals.size();
+      switch (agg) {
+        case plan::AggFn::kCount:
+          g.value = static_cast<int64_t>(vals.size());
+          break;
+        case plan::AggFn::kSum:
+          for (int64_t v : vals) g.value += v;
+          break;
+        case plan::AggFn::kMin:
+          g.value = *std::min_element(vals.begin(), vals.end());
+          break;
+        case plan::AggFn::kMax:
+          g.value = *std::max_element(vals.begin(), vals.end());
+          break;
+      }
+      oracle.push_back(g);
+    }
+    for (BackendKind backend : {BackendKind::kSim, BackendKind::kThreadPool}) {
+      for (FuseMode fuse : {FuseMode::kOff, FuseMode::kAuto}) {
+        SCOPED_TRACE(std::string(exec::BackendKindName(backend)) + "/" +
+                     plan::AggFnName(agg) +
+                     (fuse == FuseMode::kOff ? "/unfused" : "/fused"));
+        PlanSpec plan;
+        const int b = plan.graph.AddScan(&t.build);
+        const int p = plan.graph.AddScan(&t.probe);
+        const int j = plan.graph.AddHashJoin(b, p);
+        plan.graph.AddGroupBy(j, agg);
+        plan.exec =
+            MakeSpec(backend, HashLayout::kChained, Algorithm::kSHJ, 0, fuse);
+        plan.expected_matches = matches;
+
+        const JoinReport report = MustRun(plan);
+        EXPECT_EQ(report.matches, matches);
+        ExpectSameGroups(report.groups, oracle);
+        const OperatorReport* gb = FindOperator(report, "group-by");
+        ASSERT_NE(gb, nullptr);
+        EXPECT_EQ(gb->fused, fuse == FuseMode::kAuto);
+        EXPECT_EQ(HasStep(report, "p4g"), fuse == FuseMode::kAuto);
+        EXPECT_EQ(HasStep(report, "g1"), fuse == FuseMode::kOff);
+      }
+    }
   }
 }
 

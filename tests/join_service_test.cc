@@ -9,6 +9,8 @@
 
 #include "coproc/pipeline_runner.h"
 #include "exec/thread_pool_backend.h"
+#include "fan_out.h"
+#include "join/reference_join.h"
 #include "util/perf_asserts.h"
 #include "service/join_service.h"
 #include "per_item_kernel.h"
@@ -310,6 +312,29 @@ TEST(PoolLeaseTest, LeaseExecutesUnderQuotaAndSubLeasesNarrow) {
 
   auto sub = lease->Lease(&session_ctx, 4);  // cannot widen past the parent
   EXPECT_EQ(sub->capacity(), 2);
+}
+
+TEST(JoinServiceTest, FanOutSubmissionIsExact) {
+  // A submitted plan that is not told its 256x fan-out still returns the
+  // exact count.
+  const data::Workload w = data::FanOutWorkload();
+  const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+  ServiceOptions opts;
+  opts.exec.backend = exec::BackendKind::kThreadPool;
+  opts.exec.threads = 2;
+  JoinService service(opts);
+  auto session = service.OpenSession(ShjSession());
+  ASSERT_TRUE(session.ok());
+  coproc::PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int p = plan.graph.AddScan(&w.probe);
+  plan.graph.AddHashJoin(b, p);
+  plan.exec = (*session)->joiner().config().spec;
+  auto ticket = (*session)->Submit(plan);
+  ASSERT_TRUE(ticket.ok());
+  auto report = ticket->Take();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->matches, reference);
 }
 
 }  // namespace

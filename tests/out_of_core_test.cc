@@ -6,6 +6,7 @@
 #include "coproc/out_of_core.h"
 #include "exec/backend.h"
 #include "exec/backend_kind.h"
+#include "join/reference_join.h"
 
 namespace apujoin::coproc {
 namespace {
@@ -170,45 +171,6 @@ TEST(OutOfCoreTest, ThreadsAndSimBackendsAgreeOnMatches) {
   EXPECT_EQ(matches[0], w.expected_matches);
 }
 
-TEST(OutOfCoreTest, OverflowAggregatesAcrossAllChunkJoins) {
-  // A small per-pair result capacity makes (nearly) every partition-pair
-  // join drop matches. The aggregated report must carry the drops of every
-  // pair — a later pair's join must not clobber an earlier pair's overflow
-  // — and matches + dropped must still account for every expected match.
-  const data::Workload w = MakeWorkload(1 << 13);
-  simcl::ContextOptions copts;
-  copts.memory.zero_copy_bytes = 32.0 * 1024;
-  simcl::SimContext ctx(copts);
-  OutOfCoreSpec spec;
-  spec.chunk_tuples = 1 << 11;
-  spec.inner.result_capacity = 1;  // honored per pair
-  spec.inner.tolerate_overflow = true;
-  auto report = ExecuteOutOfCore(&ctx, w, spec);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->chunked);
-  EXPECT_GT(report->partitions, 1u);
-  EXPECT_TRUE(report->overflowed);
-  EXPECT_GT(report->dropped_matches, report->partitions / 2);  // many pairs
-  EXPECT_EQ(report->matches + report->dropped_matches, w.expected_matches);
-}
-
-TEST(OutOfCoreTest, OverflowHonorsToleranceOnceAtTheEnd) {
-  // Without tolerate_overflow the aggregated overflow fails the join — but
-  // only after every pair ran, so the error reports the total drops.
-  const data::Workload w = MakeWorkload(1 << 13);
-  simcl::ContextOptions copts;
-  copts.memory.zero_copy_bytes = 32.0 * 1024;
-  simcl::SimContext ctx(copts);
-  OutOfCoreSpec spec;
-  spec.chunk_tuples = 1 << 11;
-  spec.inner.result_capacity = 1;
-  auto report = ExecuteOutOfCore(&ctx, w, spec);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(report.status().ToString().find("partition pairs"),
-            std::string::npos);
-}
-
 TEST(OutOfCoreTest, PipelinedSimOverlapsCopyBehindCompute) {
   // Pipelined streaming on the sim backend: identical work (bit-identical
   // partition/join/copy components and matches), with the prefetched
@@ -297,6 +259,36 @@ TEST(OutOfCoreTest, ExplicitPartitionOverride) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->partitions, 64u);
   EXPECT_EQ(report->matches, w.expected_matches);
+}
+
+TEST(OutOfCoreTest, ChunkedJoinWithOneHotBuildKeyIsExact) {
+  // One build key carries 2,048 rows and 512 probes hit it: its partition
+  // pair alone yields 2^20 matches, far more than the pair's probe side.
+  // Exact even though every pair join sizes nothing from a match count.
+  data::Workload w;
+  for (int32_t i = 0; i < (1 << 13); ++i) {
+    w.build.Append(i < (1 << 11) ? 7 : 1000 + i, i);
+  }
+  for (int32_t i = 0; i < (1 << 13); ++i) {
+    w.probe.Append(i < (1 << 9) ? 7 : 1000 + (i * 5) % (1 << 13), i);
+  }
+  w.expected_matches = join::ReferenceMatchCount(w.build, w.probe);
+  ASSERT_GT(w.expected_matches, uint64_t{1} << 20);
+  simcl::ContextOptions copts;
+  copts.memory.zero_copy_bytes = 64.0 * 1024;  // forces chunking
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kThreadPool}) {
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    simcl::SimContext ctx(copts);
+    OutOfCoreSpec spec;
+    spec.chunk_tuples = 1 << 11;
+    spec.inner.engine.backend = backend;
+    spec.inner.engine.threads = 2;
+    auto report = ExecuteOutOfCore(&ctx, w, spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->chunked);
+    EXPECT_EQ(report->matches, w.expected_matches);
+  }
 }
 
 }  // namespace

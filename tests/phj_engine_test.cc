@@ -28,7 +28,7 @@ class PhjEngineTest : public ::testing::Test {
  protected:
   simcl::SimContext ctx_;
 
-  uint64_t RunJoin(PhjEngine* engine, const data::Workload& w, double ratio) {
+  uint64_t RunJoin(PhjEngine* engine, double ratio) {
     for (int side = 0; side < 2; ++side) {
       RadixPartitioner* part = side == 0 ? engine->build_partitioner()
                                          : engine->probe_partitioner();
@@ -42,8 +42,7 @@ class PhjEngineTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(engine->PrepareJoinPhase().ok());
-    ResultWriter writer(w.expected_matches + (1 << 20),
-                        alloc::AllocatorKind::kOptimized, 2048);
+    ResultWriter writer(alloc::AllocatorKind::kOptimized, 2048);
     std::vector<StepDef> bsteps = engine->BuildSteps();
     SeriesOptions bopts;
     bopts.ratios.assign(bsteps.size(), ratio);
@@ -62,21 +61,21 @@ TEST_F(PhjEngineTest, CpuOnlyMatchesReference) {
   const data::Workload w = MakeWorkload(1 << 12, 1 << 13, 0.5);
   PhjEngine engine(&ctx_, &w.build, &w.probe, EngineOptions());
   ASSERT_TRUE(engine.Prepare().ok());
-  EXPECT_EQ(RunJoin(&engine, w, 1.0), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 1.0), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, GpuOnlyMatchesReference) {
   const data::Workload w = MakeWorkload(1 << 12, 1 << 13, 0.5);
   PhjEngine engine(&ctx_, &w.build, &w.probe, EngineOptions());
   ASSERT_TRUE(engine.Prepare().ok());
-  EXPECT_EQ(RunJoin(&engine, w, 0.0), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 0.0), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, CoProcessedMatchesReference) {
   const data::Workload w = MakeWorkload(1 << 12, 1 << 13, 0.8);
   PhjEngine engine(&ctx_, &w.build, &w.probe, EngineOptions());
   ASSERT_TRUE(engine.Prepare().ok());
-  EXPECT_EQ(RunJoin(&engine, w, 0.42), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 0.42), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, ExplicitPartitionCount) {
@@ -87,7 +86,7 @@ TEST_F(PhjEngineTest, ExplicitPartitionCount) {
   ASSERT_TRUE(engine.Prepare().ok());
   EXPECT_EQ(engine.num_partitions(), 128u);
   EXPECT_EQ(engine.build_partitioner()->passes(), 2);
-  EXPECT_EQ(RunJoin(&engine, w, 0.5), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 0.5), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, SkewedWorkloadCorrect) {
@@ -95,7 +94,7 @@ TEST_F(PhjEngineTest, SkewedWorkloadCorrect) {
       MakeWorkload(1 << 12, 1 << 13, 0.5, data::Distribution::kHighSkew);
   PhjEngine engine(&ctx_, &w.build, &w.probe, EngineOptions());
   ASSERT_TRUE(engine.Prepare().ok());
-  EXPECT_EQ(RunJoin(&engine, w, 0.5), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 0.5), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, SeparateTablesCorrect) {
@@ -104,7 +103,7 @@ TEST_F(PhjEngineTest, SeparateTablesCorrect) {
   opts.shared_table = false;
   PhjEngine engine(&ctx_, &w.build, &w.probe, opts);
   ASSERT_TRUE(engine.Prepare().ok());
-  EXPECT_EQ(RunJoin(&engine, w, 1.0 / 3.0), w.expected_matches);
+  EXPECT_EQ(RunJoin(&engine, 1.0 / 3.0), w.expected_matches);
 }
 
 TEST_F(PhjEngineTest, PartitionWorkingSetFitsCache) {

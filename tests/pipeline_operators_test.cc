@@ -219,7 +219,6 @@ TEST_P(SelectOpTest, SelectJoinMatchesOracle) {
     auto report = ExecutePlan(&ctx, plan);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->matches, matches);
-    EXPECT_FALSE(report->overflowed);
 
     const OperatorReport* sel_op = FindOperator(*report, "select");
     ASSERT_NE(sel_op, nullptr);
@@ -382,7 +381,6 @@ TEST_P(MultiwayOpTest, ChainMatchesProductOracle) {
     auto report = ExecutePlan(&ctx, plan);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->matches, matches);
-    EXPECT_FALSE(report->overflowed);
 
     const OperatorReport* op = FindOperator(*report, "multiway");
     ASSERT_NE(op, nullptr);

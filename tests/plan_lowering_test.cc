@@ -40,8 +40,6 @@ void ExpectReportsIdentical(const JoinReport& a, const JoinReport& b) {
   EXPECT_EQ(a.elapsed_ns, b.elapsed_ns);  // virtual ns: bit-identical
   EXPECT_EQ(a.estimated_ns, b.estimated_ns);
   EXPECT_EQ(a.lock_ns, b.lock_ns);
-  EXPECT_EQ(a.overflowed, b.overflowed);
-  EXPECT_EQ(a.dropped_matches, b.dropped_matches);
   for (int p = 0; p < simcl::kNumPhases; ++p) {
     EXPECT_EQ(a.breakdown.Get(static_cast<simcl::Phase>(p)),
               b.breakdown.Get(static_cast<simcl::Phase>(p)))
@@ -61,7 +59,6 @@ void ExpectReportsIdentical(const JoinReport& a, const JoinReport& b) {
     EXPECT_EQ(a.steps[i].gpu_items, b.steps[i].gpu_items) << i;
     EXPECT_EQ(a.steps[i].unit_cpu_ns, b.steps[i].unit_cpu_ns) << i;
     EXPECT_EQ(a.steps[i].unit_gpu_ns, b.steps[i].unit_gpu_ns) << i;
-    EXPECT_EQ(a.steps[i].dropped, b.steps[i].dropped) << i;
   }
 }
 
