@@ -8,14 +8,13 @@
 #include "alloc/latch_model.h"
 #include "coproc/ratio_policy.h"
 #include "cost/calibration.h"
+#include "join/key_words.h"
 #include "join/partitioned_hash_join.h"
-#include "join/simple_hash_join.h"
 #include "join/result_writer.h"
-#include "util/murmur_hash.h"
+#include "join/simple_hash_join.h"
 
 namespace apujoin::coproc {
 
-using apujoin::MurmurHash2x4;
 using apujoin::Status;
 using apujoin::StatusOr;
 using join::StepDef;
@@ -27,15 +26,23 @@ namespace {
 /// Incremental per-pair SHJ: pairs advance in fixed tuple quanta so that a
 /// device's concurrently-running pair joins interleave their memory
 /// accesses — the concurrency pattern that thrashes the shared L2. One
-/// PairJoin instance is one coarse work item.
+/// PairJoin instance is one coarse work item. The tuple loop is written
+/// once per key width (AdvanceAs<kWide>); the width is picked once, at
+/// construction.
 class PairJoin {
  public:
-  PairJoin(const data::Relation* r, const data::Relation* s, uint32_t r_begin,
-           uint32_t r_end, uint32_t s_begin, uint32_t s_end,
-           join::NodePools* pools, join::ResultWriter* out,
+  PairJoin(const data::Relation& r, const data::Relation& s,
+           uint32_t r_begin, uint32_t r_end, uint32_t s_begin,
+           uint32_t s_end, join::NodePools* pools, join::ResultWriter* out,
            simcl::CacheSim* cache, uint32_t part_bits)
-      : r_(r), s_(s), r_cur_(r_begin), r_end_(r_end), s_cur_(s_begin),
-        s_end_(s_end), pools_(pools), out_(out), part_bits_(part_bits) {
+      : rk_{r.key_schema, r.keys.data(), r.key_hi.data()},
+        r_rids_(r.rids.data()),
+        sk_{s.key_schema, s.keys.data(), s.key_hi.data()},
+        s_rids_(s.rids.data()),
+        r_cur_(r_begin), r_end_(r_end), s_cur_(s_begin), s_end_(s_end),
+        pools_(pools), out_(out), part_bits_(part_bits),
+        advance_(data::KeyIsWide(r.key_schema) ? &PairJoin::AdvanceAs<true>
+                                               : &PairJoin::AdvanceAs<false>) {
     const uint32_t n = std::max<uint32_t>(r_end - r_begin, 8);
     table_ = std::make_unique<join::HashTable>(join::NextPow2(n), pools_);
     table_->set_cache(cache);
@@ -50,14 +57,21 @@ class PairJoin {
 
   /// Advances up to `quantum` tuples (build first, then probe).
   void Advance(uint32_t quantum, DeviceId dev, uint32_t wg) {
+    (this->*advance_)(quantum, dev, wg);
+  }
+
+ private:
+  template <bool kWide>
+  void AdvanceAs(uint32_t quantum, DeviceId dev, uint32_t wg) {
     while (quantum > 0 && r_cur_ < r_end_) {
-      const int32_t key = r_->keys[r_cur_];
-      const uint32_t h = MurmurHash2x4(static_cast<uint32_t>(key));
+      const uint32_t h = join::HashKeyAt<kWide>(rk_, r_cur_);
       const uint32_t bucket = table_->BucketOf(h >> part_bits_);
       uint32_t w = 0;
-      const int32_t node = table_->FindOrAddKey(bucket, key, dev, wg, &w);
+      const int32_t node = table_->FindOrAdd<kWide>(
+          bucket, rk_.lo[r_cur_], join::HiWordAt<kWide>(rk_, r_cur_), dev,
+          wg, &w);
       if (node == join::kNil ||
-          !table_->InsertRid(node, r_->rids[r_cur_], dev, wg)) {
+          !table_->InsertRid(node, r_rids_[r_cur_], dev, wg)) {
         overflowed_ = true;
       }
       work_ += w + 1;
@@ -65,13 +79,13 @@ class PairJoin {
       --quantum;
     }
     while (quantum > 0 && s_cur_ < s_end_) {
-      const int32_t key = s_->keys[s_cur_];
-      const uint32_t h = MurmurHash2x4(static_cast<uint32_t>(key));
+      const uint32_t h = join::HashKeyAt<kWide>(sk_, s_cur_);
       const uint32_t bucket = table_->BucketOf(h >> part_bits_);
       uint32_t w = 0;
-      const int32_t node = table_->FindKey(bucket, key, &w);
+      const int32_t node = table_->Find<kWide>(
+          bucket, sk_.lo[s_cur_], join::HiWordAt<kWide>(sk_, s_cur_), &w);
       if (node != join::kNil) {
-        const int32_t srid = s_->rids[s_cur_];
+        const int32_t srid = s_rids_[s_cur_];
         w += table_->ForEachRid(node, [this, srid, dev, wg](int32_t brid) {
           out_->Emit(brid, srid, dev, wg);
         });
@@ -82,14 +96,16 @@ class PairJoin {
     }
   }
 
- private:
-  const data::Relation* r_;
-  const data::Relation* s_;
+  data::KeyView rk_;
+  const int32_t* r_rids_;
+  data::KeyView sk_;
+  const int32_t* s_rids_;
   uint32_t r_cur_, r_end_, s_cur_, s_end_;
   join::NodePools* pools_;
   join::ResultWriter* out_;
   std::unique_ptr<join::HashTable> table_;
   uint32_t part_bits_;
+  void (PairJoin::*advance_)(uint32_t, DeviceId, uint32_t);
   uint32_t id_ = 0;
   uint64_t work_ = 0;
   bool overflowed_ = false;
@@ -152,20 +168,24 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   const data::Relation& rp = engine.build_partitioner()->output();
   const data::Relation& sp = engine.probe_partitioner()->output();
 
-  const uint64_t key_cap = nb + nb / 8 +
-                           join::PoolSlack(nb, spec.engine.block_bytes, 12) +
-                           1024ull * spec.engine.block_bytes / 12;
+  // Key nodes carry the hi word for wide schemas (16 B instead of 12 B).
+  const bool wide = data::KeyIsWide(rp.key_schema);
+  const uint32_t key_node_bytes = wide ? 16u : 12u;
+  const uint64_t key_cap =
+      nb + nb / 8 +
+      join::PoolSlack(nb, spec.engine.block_bytes, key_node_bytes) +
+      1024ull * spec.engine.block_bytes / key_node_bytes;
   const uint64_t rid_cap = nb + join::PoolSlack(nb, spec.engine.block_bytes, 8) +
                            1024ull * spec.engine.block_bytes / 8;
   join::NodePools pools(key_cap, rid_cap, spec.engine.allocator,
-                        spec.engine.block_bytes);
+                        spec.engine.block_bytes, wide);
   join::ResultWriter writer(spec.engine.allocator, spec.engine.block_bytes);
 
   std::vector<std::unique_ptr<PairJoin>> pairs;
   pairs.reserve(parts);
   for (uint32_t p = 0; p < parts; ++p) {
     pairs.push_back(std::make_unique<PairJoin>(
-        &rp, &sp, off_r[p], off_r[p + 1], off_s[p], off_s[p + 1], &pools,
+        rp, sp, off_r[p], off_r[p + 1], off_s[p], off_s[p + 1], &pools,
         &writer, ctx->cache(), engine.radix_plan().partition_bits));
     pairs.back()->set_id(p);
   }

@@ -11,6 +11,9 @@
 // and reports wall-clock ns. Ratios follow one policy (coproc/ratio_policy.h):
 // the sim calibrates and optimizes them on the analytic model; a real
 // backend runs every step at ratio 1.0 and never consults the model.
+// Every series except BasicUnit's runs through one step loop
+// (coproc/step_series.h): PHJ's join phase pair by pair, every other
+// series as one pair over its whole item range.
 //
 // A join's result buffer grows with its matches (join/result_writer.h):
 // there is no capacity to set and no match is ever dropped. The one
@@ -41,7 +44,8 @@ struct JoinSpec {
   /// How the sim backend splits each step between the devices. On a real
   /// backend CPU-only, GPU-only, OL, DD and PL all run every step at ratio
   /// 1.0 (its two lanes would run one after the other on the same workers,
-  /// so a split buys nothing); BasicUnit keeps its chunk dispatch.
+  /// so a split buys nothing); BasicUnit keeps its chunk dispatch, with
+  /// CPU chunks of max(8192, n/256) items and GPU chunks four times that.
   Scheme scheme = Scheme::kPipelined;
   join::EngineOptions engine;
 
@@ -67,10 +71,6 @@ struct JoinSpec {
   /// degrades that chunk to serial staging instead of growing memory.
   /// Ignored under StreamMode::kSerial.
   uint64_t stream_budget_bytes = 0;
-
-  /// BasicUnit chunk sizes; 0 = auto.
-  uint64_t bu_cpu_chunk = 0;
-  uint64_t bu_gpu_chunk = 0;
 };
 
 /// Per-step outcome + calibration, across all phases.

@@ -48,8 +48,8 @@ double ChunkBytes(const join::Morsel& cm) {
 }
 
 /// Stages rel[cm.begin, cm.end) into `dst` on the calling thread and
-/// charges the zero-copy buffer transfer — the serial staging primitive of
-/// both executors (and the pipelined executor's back-pressure fallback).
+/// charges the zero-copy buffer transfer — every chunk that is not
+/// prefetched stages this way.
 void StageChunkSerial(simcl::SimContext* ctx, const data::Relation& rel,
                       const join::Morsel& cm, data::Relation* dst,
                       OutOfCoreReport* report) {
@@ -115,31 +115,6 @@ StatusOr<double> PartitionOneChunk(exec::Backend* backend,
   return series_ns;
 }
 
-/// Radix-partitions `rel` morsel-by-morsel through the zero-copy buffer
-/// into `parts` buckets, appending each morsel's partitions into `out` and
-/// adding copy/partition time to `report`. Each chunk morsel runs the same
-/// n1..n3 step series — and hence the same backend scheduling path — as an
-/// in-core partition pass; there is no bespoke per-tuple loop here.
-/// Staging is strictly serial: copy chunk k in, partition it, copy its
-/// partitions out, only then touch chunk k+1.
-Status PartitionChunked(exec::Backend* backend, const data::Relation& rel,
-                        uint32_t parts, uint64_t chunk_tuples,
-                        const JoinSpec& inner,
-                        std::vector<data::Relation>* out,
-                        OutOfCoreReport* report) {
-  simcl::SimContext* ctx = backend->context();
-  join::EngineOptions opts = inner.engine;
-  opts.partitions = parts;
-
-  for (const join::Morsel& cm : ChunkMorsels(rel.size(), chunk_tuples)) {
-    data::Relation chunk;
-    StageChunkSerial(ctx, rel, cm, &chunk, report);
-    auto series = PartitionOneChunk(backend, chunk, parts, opts, out, report);
-    if (!series.ok()) return series.status();
-  }
-  return Status::OK();
-}
-
 /// Batch kernel that stages one chunk morsel of `rel` into a staging
 /// buffer: a plain range memcpy per morsel, so the thread-pool backend can
 /// spread the copy across its workers while the submitter runs something
@@ -167,8 +142,15 @@ StepDef MakeStageStep(const data::Relation& rel, const join::Morsel& cm,
   return step;
 }
 
-/// Double-buffered pipelined staging: while chunk k runs its n1..n3
-/// partition series on the backend, chunk k+1 is staged into the second
+/// Radix-partitions `rel` chunk by chunk through the zero-copy buffer into
+/// `parts` buckets, appending each chunk's partitions into `out` and adding
+/// copy/partition time to `report`. Each chunk runs the same n1..n3 step
+/// series — and hence the same backend scheduling path — as an in-core
+/// partition pass. The operations run in order: stage chunk 0, partition
+/// it, stage chunk 1, and so on.
+///
+/// When `pipelined` (StreamMode::kPipelined) staging is double-buffered:
+/// while chunk k runs its series, chunk k+1 is staged into the second
 /// buffer by an async prefetch span (Backend::SubmitSpan). On the
 /// thread-pool backend the overlap is real — pool workers memcpy the next
 /// chunk while the submitting thread drives the series; on the sim backend
@@ -176,13 +158,14 @@ StepDef MakeStageStep(const data::Relation& rel, const join::Morsel& cm,
 /// (copy of chunk k+1 hides behind the series of chunk k, up to the
 /// shorter of the two). JoinSpec::stream_budget_bytes bounds the bytes in
 /// flight: when current + next chunk would exceed it, the prefetch is
-/// skipped and that chunk stages serially (back-pressure).
-Status PartitionChunkedPipelined(exec::Backend* backend,
-                                 const data::Relation& rel, uint32_t parts,
-                                 uint64_t chunk_tuples, const JoinSpec& inner,
-                                 std::vector<data::Relation>* out,
-                                 OutOfCoreReport* report) {
-  if (rel.empty()) return Status::OK();  // the serial path loops zero times
+/// skipped and that chunk stages serially (back-pressure). Otherwise
+/// (StreamMode::kSerial) every chunk stages serially.
+Status PartitionChunked(exec::Backend* backend, const data::Relation& rel,
+                        uint32_t parts, uint64_t chunk_tuples,
+                        const JoinSpec& inner, bool pipelined,
+                        std::vector<data::Relation>* out,
+                        OutOfCoreReport* report) {
+  if (rel.empty()) return Status::OK();
   simcl::SimContext* ctx = backend->context();
   const bool sim = backend->kind() == exec::BackendKind::kSim;
   join::EngineOptions opts = inner.engine;
@@ -202,7 +185,7 @@ Status PartitionChunkedPipelined(exec::Backend* backend,
   for (size_t k = 0; k < chunks.size(); ++k) {
     const size_t cur = k & 1;
     // Kick off the async staging of chunk k+1 under the in-flight budget.
-    if (k + 1 < chunks.size()) {
+    if (pipelined && k + 1 < chunks.size()) {
       const join::Morsel& nm = chunks[k + 1];
       const double in_flight = ChunkBytes(chunks[k]) + ChunkBytes(nm);
       if (inner.stream_budget_bytes == 0 ||
@@ -248,10 +231,10 @@ Status PartitionChunkedPipelined(exec::Backend* backend,
         report->overlap_ns += done_fraction * prefetch_copy_ns;
       }
     } else if (k + 1 < chunks.size()) {
-      // Budget back-pressure: the current chunk has left the buffer, so
-      // drop its staging allocation *before* serially staging the next —
-      // otherwise both buffers keep chunk-sized capacity alive and the
-      // budget would bound nothing.
+      // Serial staging (no prefetch, or budget back-pressure): the current
+      // chunk has left the buffer, so drop its staging allocation *before*
+      // serially staging the next — otherwise both buffers keep chunk-sized
+      // capacity alive and the budget would bound nothing.
       stage[cur] = data::Relation();
       StageChunkSerial(ctx, rel, chunks[k + 1], &stage[1 - cur], report);
     }
@@ -299,16 +282,14 @@ StatusOr<OutOfCoreReport> ExecuteOutOfCore(exec::Backend* backend,
   const bool pipelined =
       spec.inner.engine.stream == exec::StreamMode::kPipelined;
   const bool sim = backend->kind() == exec::BackendKind::kSim;
-  auto partition_fn = pipelined ? &PartitionChunkedPipelined
-                                : &PartitionChunked;
   std::vector<data::Relation> r_parts(parts);
   std::vector<data::Relation> s_parts(parts);
-  APU_RETURN_IF_ERROR(partition_fn(backend, workload.build, parts,
-                                   spec.chunk_tuples, spec.inner, &r_parts,
-                                   &report));
-  APU_RETURN_IF_ERROR(partition_fn(backend, workload.probe, parts,
-                                   spec.chunk_tuples, spec.inner, &s_parts,
-                                   &report));
+  APU_RETURN_IF_ERROR(PartitionChunked(backend, workload.build, parts,
+                                       spec.chunk_tuples, spec.inner,
+                                       pipelined, &r_parts, &report));
+  APU_RETURN_IF_ERROR(PartitionChunked(backend, workload.probe, parts,
+                                       spec.chunk_tuples, spec.inner,
+                                       pipelined, &s_parts, &report));
 
   // Join each linked partition pair inside the buffer.
   double prev_join_window_ns = 0.0;  // join time of the previously joined pair

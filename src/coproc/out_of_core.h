@@ -6,6 +6,12 @@
 // buffer-sized chunks (chunk = 16M tuples in the paper), intermediate
 // partitions are copied out to system memory, partition pairs are linked
 // across chunks, and each pair is joined in-buffer with SHJ-PL or PHJ-PL.
+//
+// One staging loop serves both streaming policies. StreamMode::kPipelined
+// prefetches chunk k+1 asynchronously while chunk k partitions;
+// StreamMode::kSerial is the same loop with every prefetch off, so its
+// operations run strictly in order: stage chunk 0, partition it, stage
+// chunk 1, and so on.
 
 #ifndef APUJOIN_COPROC_OUT_OF_CORE_H_
 #define APUJOIN_COPROC_OUT_OF_CORE_H_

@@ -91,12 +91,8 @@ struct Driver {
     SeriesResult res;
     if (spec.scheme == Scheme::kBasicUnit) {
       BasicUnitOptions bu;
-      const uint64_t n = steps.front().items;
-      bu.cpu_chunk = spec.bu_cpu_chunk != 0
-                         ? spec.bu_cpu_chunk
-                         : std::max<uint64_t>(8192, n / 256);
-      bu.gpu_chunk =
-          spec.bu_gpu_chunk != 0 ? spec.bu_gpu_chunk : bu.cpu_chunk * 4;
+      bu.cpu_chunk = std::max<uint64_t>(8192, steps.front().items / 256);
+      bu.gpu_chunk = bu.cpu_chunk * 4;
       bu.drain_alloc = drain;
       double eff_ratio = 0.0;
       res = RunSeriesBasicUnit(backend, steps, bu, &eff_ratio);
@@ -108,19 +104,16 @@ struct Driver {
                             : eff_ratio;
       }
     } else {
-      SeriesOptions opts;
-      opts.ratios = plan.ratios;
-      opts.drain_alloc = drain;
-      if (pair_offsets != nullptr) {
-        std::vector<PairSeriesGroup> one(1);
-        one[0].steps = &steps;
-        one[0].ratios = plan.ratios;
-        one[0].offsets = pair_offsets;
-        RunSeriesPairBlockedGroups(backend, one, opts);
-        res = std::move(one[0].result);
-      } else {
-        res = RunSeries(backend, steps, opts);
-      }
+      // One pair-blocked group: pair by pair over the phase's partitions,
+      // or one pair over the whole range.
+      const std::vector<uint32_t> whole = {
+          0, static_cast<uint32_t>(steps.front().items)};
+      std::vector<PairSeriesGroup> one(1);
+      one[0].steps = &steps;
+      one[0].ratios = plan.ratios;
+      one[0].offsets = pair_offsets != nullptr ? pair_offsets : &whole;
+      RunSeriesPairBlockedGroups(backend, one, drain);
+      res = std::move(one[0].result);
     }
     double elapsed = res.elapsed_ns;
     if (gpu_start_delay > 0.0) {
@@ -397,9 +390,7 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
       groups[1].steps = &psteps;
       groups[1].ratios = pplan->ratios;
       groups[1].offsets = &engine.probe_partitioner()->offsets();
-      SeriesOptions jopts;
-      jopts.drain_alloc = drain;
-      RunSeriesPairBlockedGroups(drv.backend, groups, jopts);
+      RunSeriesPairBlockedGroups(drv.backend, groups, drain);
       drv.AbsorbSeries("build", Phase::kBuild, groups[0].result,
                        bplan->costs);
       drv.AbsorbSeries("probe", Phase::kProbe, groups[1].result,

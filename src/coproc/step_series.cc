@@ -13,6 +13,10 @@ using simcl::StepStats;
 
 namespace {
 
+/// Intermediate-result bytes per item crossing devices between steps of
+/// unlike ratios (Eq. 6's communication term).
+constexpr double kCommBytesPerItem = 8.0;
+
 /// Drains allocator counts; under the sim backend they are priced by the
 /// latch model and added to the step's device times. Real-execution
 /// backends already paid these costs inside the measured wall time, so the
@@ -29,125 +33,26 @@ void ChargeAllocations(exec::Backend* backend,
   for (int d = 0; d < simcl::kNumDevices; ++d) stats->time[d] += extra[d];
 }
 
-}  // namespace
-
-SeriesResult RunSeries(exec::Backend* backend,
-                       std::vector<join::StepDef>& steps,
-                       const SeriesOptions& opts) {
-  APU_CHECK(opts.ratios.size() == steps.size() &&
-            "one ratio per step (driver validates before this layer)");
-  SeriesResult result;
-  result.steps.reserve(steps.size());
-
-  std::vector<double> t_cpu;
-  std::vector<double> t_gpu;
-  std::vector<double> m_cpu;  // contention-free times for modeled elapsed
-  std::vector<double> m_gpu;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    join::StepDef& step = steps[i];
-    const double r = std::clamp(opts.ratios[i], 0.0, 1.0);
-    StepStats stats = backend->Run(step, r);
-    ChargeAllocations(backend, opts.drain_alloc, &stats);
-    if (step.after) {
-      // GPU range of the next step, for grouping. The hook's contract
-      // (steps.h) is a non-empty [begin, end): skip it when the next step
-      // runs CPU-only, instead of handing every hook an empty range.
-      uint64_t next_split = step.items;
-      if (i + 1 < steps.size()) {
-        next_split = static_cast<uint64_t>(
-            std::clamp(opts.ratios[i + 1], 0.0, 1.0) *
-                static_cast<double>(steps[i + 1].items) +
-            0.5);
-      }
-      if (next_split < step.items) step.after(next_split, step.items);
-    }
-    StepRun run;
-    run.name = step.name;
-    run.ratio = r;
-    run.stats = stats;
-    result.steps.push_back(run);
-    t_cpu.push_back(stats.time[0].TotalNs());
-    t_gpu.push_back(stats.time[1].TotalNs());
-    m_cpu.push_back(stats.time[0].ModeledNs());
-    m_gpu.push_back(stats.time[1].ModeledNs());
-    result.lock_ns += stats.LockNs();
-  }
-
-  if (backend->kind() != exec::BackendKind::kSim) {
-    // Real execution runs the two logical-device lanes back-to-back on the
-    // host pool, so series wall time is the sum of all lane times; the
-    // concurrent-overlap/pipelined-delay composition only describes the
-    // simulated machine.
-    for (size_t i = 0; i < result.steps.size(); ++i) {
-      result.cpu_ns += t_cpu[i];
-      result.gpu_ns += t_gpu[i];
-    }
-    result.elapsed_ns = result.cpu_ns + result.gpu_ns;
-    result.modeled_elapsed_ns = result.elapsed_ns;
-    return result;
-  }
-
-  cost::CommSpec comm;
-  comm.bytes_per_item = opts.comm_bytes_per_item;
-  comm.bandwidth_gbps =
-      backend->context()->memory().spec().total_bandwidth_gbps;
-  const uint64_t n = steps.empty() ? 0 : steps.front().items;
-  const cost::SeriesEstimate measured =
-      cost::ComposePipelinedTiming(t_cpu, t_gpu, opts.ratios, n, comm);
-  const cost::SeriesEstimate modeled =
-      cost::ComposePipelinedTiming(m_cpu, m_gpu, opts.ratios, n, comm);
-
-  for (size_t i = 0; i < result.steps.size(); ++i) {
-    result.steps[i].delay_cpu_ns = measured.delay_cpu_ns[i];
-    result.steps[i].delay_gpu_ns = measured.delay_gpu_ns[i];
-  }
-  result.cpu_ns = measured.cpu_ns;
-  result.gpu_ns = measured.gpu_ns;
-  result.comm_ns = measured.comm_ns;
-  result.elapsed_ns = measured.elapsed_ns;
-  result.modeled_elapsed_ns = modeled.elapsed_ns;
-  return result;
-}
-
-namespace {
-
 /// Runs one step series on one partition pair's item range [begin, end) and
 /// accumulates timing into `result`.
 void RunOnePairSeries(exec::Backend* backend,
                       std::vector<join::StepDef>& steps,
                       const std::vector<double>& ratios,
                       const std::function<alloc::AllocCounts()>& drain,
-                      double comm_bytes_per_item, uint64_t begin,
-                      uint64_t end, SeriesResult* result) {
-  const uint64_t len = end - begin;
+                      uint64_t begin, uint64_t end, SeriesResult* result) {
   std::vector<double> t_cpu(steps.size(), 0.0);
   std::vector<double> t_gpu(steps.size(), 0.0);
   for (size_t i = 0; i < steps.size(); ++i) {
-    const double r = std::clamp(ratios[i], 0.0, 1.0);
-    const uint64_t split =
-        begin + static_cast<uint64_t>(r * static_cast<double>(len) + 0.5);
-    StepStats stats;
-    StepStats cpu_part =
-        backend->RunSpan(steps[i], simcl::DeviceId::kCpu, begin, split);
-    StepStats gpu_part =
-        backend->RunSpan(steps[i], simcl::DeviceId::kGpu, split, end);
-    for (int d = 0; d < simcl::kNumDevices; ++d) {
-      stats.items[d] = cpu_part.items[d] + gpu_part.items[d];
-      stats.work[d] = cpu_part.work[d] + gpu_part.work[d];
-      stats.time[d] += cpu_part.time[d];
-      stats.time[d] += gpu_part.time[d];
-    }
-    stats.gpu_divergence = gpu_part.gpu_divergence;
+    StepStats stats = backend->Run(steps[i], ratios[i], begin, end);
     ChargeAllocations(backend, drain, &stats);
     if (steps[i].after) {
-      // Same non-empty-range contract as RunSeries, scoped to this pair.
-      uint64_t next_split = end;
-      if (i + 1 < steps.size()) {
-        next_split = begin + static_cast<uint64_t>(
-                                 std::clamp(ratios[i + 1], 0.0, 1.0) *
-                                     static_cast<double>(len) +
-                                 0.5);
-      }
+      // GPU range of the next step within this pair, for grouping. The
+      // hook's contract (steps.h) is a non-empty [begin, end): skip it when
+      // the next step runs CPU-only, instead of handing every hook an empty
+      // range.
+      const uint64_t next_split =
+          i + 1 < steps.size() ? exec::CpuSplit(ratios[i + 1], begin, end)
+                               : end;
       if (next_split < end) steps[i].after(next_split, end);
     }
     t_cpu[i] = stats.time[0].TotalNs();
@@ -163,7 +68,10 @@ void RunOnePairSeries(exec::Backend* backend,
     run.stats.gpu_divergence = stats.gpu_divergence;
   }
   if (backend->kind() != exec::BackendKind::kSim) {
-    // Sequential lanes on the host pool: this pair's wall time is the sum.
+    // Real execution runs the two logical-device lanes back-to-back on the
+    // host pool, so this pair's wall time is the sum of all lane times; the
+    // concurrent-overlap/pipelined-delay composition only describes the
+    // simulated machine.
     for (size_t i = 0; i < steps.size(); ++i) {
       result->cpu_ns += t_cpu[i];
       result->gpu_ns += t_gpu[i];
@@ -172,19 +80,15 @@ void RunOnePairSeries(exec::Backend* backend,
     return;
   }
   cost::CommSpec comm;
-  comm.bytes_per_item = comm_bytes_per_item;
+  comm.bytes_per_item = kCommBytesPerItem;
   comm.bandwidth_gbps =
       backend->context()->memory().spec().total_bandwidth_gbps;
   const cost::SeriesEstimate pair =
-      cost::ComposePipelinedTiming(t_cpu, t_gpu, ratios, len, comm);
+      cost::ComposePipelinedTiming(t_cpu, t_gpu, ratios, end - begin, comm);
   result->cpu_ns += pair.cpu_ns;
   result->gpu_ns += pair.gpu_ns;
   result->comm_ns += pair.comm_ns;
   result->elapsed_ns += pair.elapsed_ns;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    result->steps[i].delay_cpu_ns += pair.delay_cpu_ns[i];
-    result->steps[i].delay_gpu_ns += pair.delay_gpu_ns[i];
-  }
 }
 
 void InitSeriesResult(const std::vector<join::StepDef>& steps,
@@ -198,15 +102,15 @@ void InitSeriesResult(const std::vector<join::StepDef>& steps,
   result->steps.resize(steps.size());
   for (size_t i = 0; i < steps.size(); ++i) {
     result->steps[i].name = steps[i].name;
-    result->steps[i].ratio = ratios[i];
+    result->steps[i].ratio = std::clamp(ratios[i], 0.0, 1.0);
   }
 }
 
 }  // namespace
 
-void RunSeriesPairBlockedGroups(exec::Backend* backend,
-                                std::vector<PairSeriesGroup>& groups,
-                                const SeriesOptions& shared_opts) {
+void RunSeriesPairBlockedGroups(
+    exec::Backend* backend, std::vector<PairSeriesGroup>& groups,
+    const std::function<alloc::AllocCounts()>& drain) {
   if (groups.empty()) return;
   const size_t pairs = groups.front().offsets->size() - 1;
   for (auto& g : groups) {
@@ -219,14 +123,23 @@ void RunSeriesPairBlockedGroups(exec::Backend* backend,
       const uint64_t begin = (*g.offsets)[p];
       const uint64_t end = (*g.offsets)[p + 1];
       if (end <= begin) continue;
-      RunOnePairSeries(backend, *g.steps, g.ratios, shared_opts.drain_alloc,
-                       shared_opts.comm_bytes_per_item, begin, end,
+      RunOnePairSeries(backend, *g.steps, g.ratios, drain, begin, end,
                        &g.result);
     }
   }
-  for (auto& g : groups) {
-    g.result.modeled_elapsed_ns = g.result.elapsed_ns - g.result.lock_ns;
-  }
+}
+
+SeriesResult RunSeries(exec::Backend* backend,
+                       std::vector<join::StepDef>& steps,
+                       const SeriesOptions& opts) {
+  const std::vector<uint32_t> whole = {
+      0, steps.empty() ? 0 : static_cast<uint32_t>(steps.front().items)};
+  std::vector<PairSeriesGroup> one(1);
+  one[0].steps = &steps;
+  one[0].ratios = opts.ratios;
+  one[0].offsets = &whole;
+  RunSeriesPairBlockedGroups(backend, one, opts.drain_alloc);
+  return std::move(one[0].result);
 }
 
 SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
@@ -240,7 +153,6 @@ SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
   }
   const uint64_t n = steps.empty() ? 0 : steps.front().items;
   double clock[simcl::kNumDevices] = {0.0, 0.0};
-  double modeled[simcl::kNumDevices] = {0.0, 0.0};
   uint64_t items[simcl::kNumDevices] = {0, 0};
   uint64_t next = 0;
   while (next < n) {
@@ -251,12 +163,10 @@ SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
         dev == DeviceId::kCpu ? opts.cpu_chunk : opts.gpu_chunk;
     const uint64_t end = std::min(n, next + chunk);
     double chunk_ns = 0.0;
-    double chunk_modeled = 0.0;
     for (size_t i = 0; i < steps.size(); ++i) {
       StepStats stats = backend->RunSpan(steps[i], dev, next, end);
       ChargeAllocations(backend, opts.drain_alloc, &stats);
       chunk_ns += stats.time[di].TotalNs();
-      chunk_modeled += stats.time[di].ModeledNs();
       result.lock_ns += stats.LockNs();
       // Aggregate into the per-step report.
       result.steps[i].stats.items[di] += stats.items[di];
@@ -264,7 +174,6 @@ SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
       result.steps[i].stats.time[di] += stats.time[di];
     }
     clock[di] += chunk_ns + opts.dispatch_overhead_ns;
-    modeled[di] += chunk_modeled;
     items[di] += end - next;
     backend->context()->log().Add(simcl::Phase::kSchedule,
                                   opts.dispatch_overhead_ns);
@@ -276,10 +185,8 @@ SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
     // The per-device clocks drive chunk scheduling either way, but real
     // chunks executed one after another — wall time is the sum.
     result.elapsed_ns = clock[0] + clock[1];
-    result.modeled_elapsed_ns = modeled[0] + modeled[1];
   } else {
     result.elapsed_ns = std::max(clock[0], clock[1]);
-    result.modeled_elapsed_ns = std::max(modeled[0], modeled[1]);
   }
   if (cpu_ratio_out != nullptr) {
     *cpu_ratio_out =

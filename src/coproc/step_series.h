@@ -1,4 +1,4 @@
-// Series runner: executes one step series (build, probe, or one partition
+// Series runner: executes step series (build, probe, or one partition
 // pass) across the two logical devices of an execution backend with given
 // per-step workload ratios, and composes the per-step device times with the
 // paper's pipelined-delay equations. Under the sim backend this is the
@@ -6,6 +6,10 @@
 // data-dependent inputs (divergence, skew, latch contention, allocator
 // traffic). Under the thread-pool backend the per-step device times are
 // wall-clock measurements of real parallel execution.
+//
+// There is one step loop: the pair-blocked runner. Algorithm 2 applies the
+// SHJ series to each partition pair, so a whole-range series (RunSeries) is
+// its one-pair case. BasicUnit's chunk dispatch is the other scheduler.
 //
 // Every runner takes an exec::Backend*; the simcl::SimContext* overloads
 // are conveniences for sim-only callers (tests, calibration harnesses) that
@@ -36,8 +40,6 @@ struct SeriesOptions {
   /// real-execution backends the costs are already inside the wall-clock
   /// measurement, so the drained counts are discarded.
   std::function<alloc::AllocCounts()> drain_alloc;
-  /// Intermediate-result bytes per crossing item between unlike ratios.
-  double comm_bytes_per_item = 8.0;
 };
 
 /// Per-step outcome.
@@ -45,8 +47,6 @@ struct StepRun {
   std::string name;
   double ratio = 0.0;
   simcl::StepStats stats;
-  double delay_cpu_ns = 0.0;
-  double delay_gpu_ns = 0.0;
 };
 
 /// Whole-series outcome.
@@ -57,23 +57,12 @@ struct SeriesResult {
   double elapsed_ns = 0.0;
   double lock_ns = 0.0;
   double comm_ns = 0.0;
-  /// Series time with contention excluded — the "modelled" share, used for
-  /// lock-overhead estimation (measured minus estimated, Fig. 11b).
-  double modeled_elapsed_ns = 0.0;
 };
 
-/// Executes `steps` with `opts.ratios` on the backend's devices.
-SeriesResult RunSeries(exec::Backend* backend,
-                       std::vector<join::StepDef>& steps,
-                       const SeriesOptions& opts);
-SeriesResult RunSeries(simcl::SimContext* ctx,
-                       std::vector<join::StepDef>& steps,
-                       const SeriesOptions& opts);
-
 /// One series of a pair-blocked group (e.g. build or probe of the PHJ join
-/// phase). `offsets` has P+1 boundaries into this series' item space;
-/// within each pair the CPU takes the first ratio_i share of that pair's
-/// items.
+/// phase). `offsets` has P+1 boundaries into this series' item space (32
+/// bits, like the rid space); within each pair the CPU takes the first
+/// ratio_i share of that pair's items.
 struct PairSeriesGroup {
   std::vector<join::StepDef>* steps = nullptr;
   std::vector<double> ratios;
@@ -86,15 +75,28 @@ struct PairSeriesGroup {
 /// 2 "apply SHJ on each partition pair") before pair p+1 starts, so a
 /// pair's hash table stays L2-resident across all its steps — the
 /// cache-reuse effect Table 3 quantifies. A single group runs one series
-/// pair by pair. All groups must agree on the partition count.
-void RunSeriesPairBlockedGroups(exec::Backend* backend,
-                                std::vector<PairSeriesGroup>& groups,
-                                const SeriesOptions& shared_opts);
+/// pair by pair. All groups must agree on the partition count. Each pair's
+/// step times compose with the pipelined-delay equations on the sim and
+/// add up on real backends (their lanes run one after the other). `drain`
+/// is SeriesOptions::drain_alloc, shared by every group.
+void RunSeriesPairBlockedGroups(
+    exec::Backend* backend, std::vector<PairSeriesGroup>& groups,
+    const std::function<alloc::AllocCounts()>& drain);
+
+/// Executes `steps` with `opts.ratios` on the backend's devices: the
+/// one-pair case of RunSeriesPairBlockedGroups, over the whole item range
+/// [0, steps.front().items).
+SeriesResult RunSeries(exec::Backend* backend,
+                       std::vector<join::StepDef>& steps,
+                       const SeriesOptions& opts);
+SeriesResult RunSeries(simcl::SimContext* ctx,
+                       std::vector<join::StepDef>& steps,
+                       const SeriesOptions& opts);
 
 /// BasicUnit (appendix): dynamically dispatches chunks of tuples to
 /// whichever device is free; each chunk runs the whole series pipeline on
 /// its device. Returns the same SeriesResult shape; the effective CPU ratio
-/// of the phase is reported through `cpu_items_out` (Figures 17/18).
+/// of the phase is reported through `cpu_ratio_out` (Figures 17/18).
 struct BasicUnitOptions {
   uint64_t cpu_chunk = 1 << 16;
   uint64_t gpu_chunk = 1 << 18;

@@ -1,6 +1,5 @@
 #include "exec/backend.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -121,14 +120,13 @@ FlagParse ParseMorselFlag(const char* arg, unsigned* morsel_items) {
   return FlagParse::kOk;
 }
 
-simcl::StepStats Backend::Run(const join::StepDef& step, double cpu_ratio) {
-  cpu_ratio = std::clamp(cpu_ratio, 0.0, 1.0);
-  const uint64_t n = step.items;
-  const uint64_t n_cpu =
-      static_cast<uint64_t>(cpu_ratio * static_cast<double>(n) + 0.5);
-  const simcl::StepStats cpu =
-      RunSpan(step, simcl::DeviceId::kCpu, 0, n_cpu);
-  const simcl::StepStats gpu = RunSpan(step, simcl::DeviceId::kGpu, n_cpu, n);
+simcl::StepStats Backend::Run(const join::StepDef& step, double cpu_ratio,
+                              uint64_t begin, uint64_t end) {
+  const uint64_t split = CpuSplit(cpu_ratio, begin, end);
+  const simcl::StepStats cpu = RunSpan(step, simcl::DeviceId::kCpu, begin,
+                                       split);
+  const simcl::StepStats gpu = RunSpan(step, simcl::DeviceId::kGpu, split,
+                                       end);
   simcl::StepStats out;
   for (int d = 0; d < simcl::kNumDevices; ++d) {
     out.items[d] = cpu.items[d] + gpu.items[d];

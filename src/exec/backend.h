@@ -20,6 +20,7 @@
 #ifndef APUJOIN_EXEC_BACKEND_H_
 #define APUJOIN_EXEC_BACKEND_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,6 +55,15 @@ struct LaunchEvent {
   uint64_t end = 0;
   double elapsed_ns = 0.0;  ///< virtual ns (sim) or wall-clock ns (threads)
 };
+
+/// The paper's r_i split of items [begin, end): the CPU takes the first
+/// cpu_ratio share (clamped to [0, 1], rounded to the nearest item).
+/// Returns the first GPU item.
+inline uint64_t CpuSplit(double cpu_ratio, uint64_t begin, uint64_t end) {
+  const double r = std::clamp(cpu_ratio, 0.0, 1.0);
+  return begin +
+         static_cast<uint64_t>(r * static_cast<double>(end - begin) + 0.5);
+}
 
 /// Abstract execution backend over the two logical devices.
 class Backend {
@@ -109,10 +119,15 @@ class Backend {
   virtual simcl::StepStats Wait(JobHandle* handle,
                                 double* done_fraction = nullptr);
 
-  /// Splits [0, step.items) by the paper's r_i convention — the first
-  /// ceil(cpu_ratio * items) items on the CPU device, the rest on the GPU
-  /// device — and executes both slices.
-  simcl::StepStats Run(const join::StepDef& step, double cpu_ratio);
+  /// Splits items [begin, end) of `step` by the paper's r_i convention
+  /// (CpuSplit: the first cpu_ratio share on the CPU device, the rest on
+  /// the GPU device) and executes both slices. The default range is the
+  /// whole step.
+  simcl::StepStats Run(const join::StepDef& step, double cpu_ratio,
+                       uint64_t begin, uint64_t end);
+  simcl::StepStats Run(const join::StepDef& step, double cpu_ratio) {
+    return Run(step, cpu_ratio, 0, step.items);
+  }
 
   /// Static spec of one logical device (the calibration surface).
   const simcl::DeviceSpec& device_spec(simcl::DeviceId id) const {

@@ -282,7 +282,10 @@ std::vector<StepDef> JoinPhase::BuildSeries(const PhaseInput& r) {
         r_keynode[i] = sel.For(i, dev)->template FindOrAdd<kWide>(
             r_bucket[i], rk.lo[i], HiWordAt<kWide>(rk, i), dev,
             WorkgroupOf(i), &work);
-        if (r_keynode[i] == kNil) overflowed_ = true;
+        if (r_keynode[i] == kNil) {
+          // relaxed: sticky flag, read after the span barrier.
+          overflowed_.store(true, std::memory_order_relaxed);
+        }
       }
       total += RecordWork(lw, m, i, work);
     }
@@ -300,7 +303,8 @@ std::vector<StepDef> JoinPhase::BuildSeries(const PhaseInput& r) {
       if (r_keynode[i] == kNil) continue;
       Table* t = sel.Holding(i, dev, r_keynode[i]);
       if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        overflowed_ = true;
+        // relaxed: sticky flag, read after the span barrier.
+        overflowed_.store(true, std::memory_order_relaxed);
         continue;
       }
       t->BumpCount(r_bucket[i]);

@@ -30,12 +30,12 @@
 
 #include "data/relation.h"
 #include "join/hash_table.h"
+#include "join/key_words.h"
 #include "join/open_hash_table.h"
 #include "join/options.h"
 #include "join/result_writer.h"
 #include "join/steps.h"
 #include "simcl/context.h"
-#include "util/murmur_hash.h"
 #include "util/status.h"
 
 namespace apujoin::join {
@@ -69,26 +69,6 @@ struct LayoutTraits<OpenHashTable> {
     return OpenKeySearchProfile(ws, boost);
   }
 };
-
-/// Hash of item i's canonical key (MurmurHash over one or two words).
-template <bool kWide>
-inline uint32_t HashKeyAt(const KeyView& k, uint64_t i) {
-  if constexpr (kWide) {
-    return MurmurHash2x8(data::PackKeyPair(k.lo[i], k.hi[i]));
-  } else {
-    return MurmurHash2x4(static_cast<uint32_t>(k.lo[i]));
-  }
-}
-
-/// Item i's secondary key word (0 for narrow keys, which have none).
-template <bool kWide>
-inline int32_t HiWordAt(const KeyView& k, uint64_t i) {
-  if constexpr (kWide) {
-    return k.hi[i];
-  } else {
-    return 0;
-  }
-}
 
 /// One layout's tables: a home table per partition (SHJ has one
 /// partition) and, in separate-table mode, a GPU-private copy of each.

@@ -1,12 +1,42 @@
 #include "join/radix_partition.h"
 
 #include <algorithm>
+#include <type_traits>
 
-#include "util/murmur_hash.h"
+#include "join/key_words.h"
 
 namespace apujoin::join {
 
 using simcl::DeviceId;
+
+namespace {
+
+/// The hi key-word lane of a wide n3 write-combine slot. Narrow slots
+/// derive from the empty NoHiLane instead, so they stay 72 B.
+struct HiLane {
+  int32_t his[8];
+};
+struct NoHiLane {};
+
+/// One write-combine slot of the n3 scatter: a run of up to 8 tuples bound
+/// for consecutive destinations of one partition.
+template <bool kWide>
+struct WcSlot : std::conditional_t<kWide, HiLane, NoHiLane> {
+  uint32_t base = 0;  // destination of entry 0
+  uint32_t len = 0;   // valid entries
+  int32_t keys[8];
+  int32_t rids[8];
+};
+static_assert(sizeof(WcSlot<false>) == 72, "narrow slots carry no hi lane");
+
+/// Output columns of one n3 scatter; only wide instantiations write `hi`.
+struct ScatterOut {
+  int32_t* keys;
+  int32_t* hi;
+  int32_t* rids;
+};
+
+}  // namespace
 
 RadixPlan RadixPlan::Make(uint64_t build_tuples, uint64_t probe_tuples,
                           double l2_bytes, const EngineOptions& opts) {
@@ -105,17 +135,20 @@ void RadixPartitioner::BeginPass(int pass) {
   // partition's 64 work-group counters share a few cache lines instead of
   // being strided nparts apart.
   std::vector<uint32_t> counts(static_cast<size_t>(kWgSlots) * nparts, 0);
-  const bool wide = data::KeyIsWide(input_->key_schema);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (filter != nullptr && filter[i] == 0) continue;
-    // Host-side bookkeeping, so the width branch here is harmless; the n1
-    // kernel computes the same pid with one branch-free body per width.
-    const uint32_t p =
-        (wide ? MurmurHash2x8(data::PackKeyPair(cur_->keys[i],
-                                                cur_->key_hi[i]))
-              : MurmurHash2x4(static_cast<uint32_t>(cur_->keys[i]))) &
-        mask;
-    counts[static_cast<size_t>(p) * kWgSlots + WgOf(i)]++;
+  // Host-side bookkeeping; the n1 kernel computes the same pid with the
+  // same per-width hash.
+  const KeyView k = CurrentKeys();
+  const auto histogram = [&](auto wide) {
+    for (uint64_t i = 0; i < n; ++i) {
+      if (filter != nullptr && filter[i] == 0) continue;
+      const uint32_t p = HashKeyAt<decltype(wide)::value>(k, i) & mask;
+      counts[static_cast<size_t>(p) * kWgSlots + WgOf(i)]++;
+    }
+  };
+  if (data::KeyIsWide(input_->key_schema)) {
+    histogram(std::true_type{});
+  } else {
+    histogram(std::false_type{});
   }
   // Partition-major prefix sum: partition regions are contiguous, each
   // ordered by claiming work group.
@@ -143,7 +176,19 @@ void RadixPartitioner::BeginPass(int pass) {
   }
 }
 
+KeyView RadixPartitioner::CurrentKeys() const {
+  return KeyView{input_->key_schema, cur_->keys.data(), cur_->key_hi.data()};
+}
+
 std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
+  // Key-width dispatch happens here, at construction scope: each kernel
+  // body is one branch-free instantiation per width.
+  return data::KeyIsWide(input_->key_schema) ? PassSeries<true>(pass)
+                                             : PassSeries<false>(pass);
+}
+
+template <bool kWide>
+std::vector<StepDef> RadixPartitioner::PassSeries(int pass) {
   // Pass 0 runs over the whole input (filtered lanes at zero work); later
   // passes run over the compacted survivors only.
   const uint64_t n = pass == 0 ? cur_->size() : live_;
@@ -153,16 +198,12 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
   std::vector<StepDef> steps;
 
   // Column views of this pass, captured once per step. cur_/nxt_ swap only
-  // in EndPass, after the pass's steps have all executed. Key-width
-  // dispatch happens here, at construction scope: each kernel body below
-  // is one branch-free variant per width.
-  const bool wide = data::KeyIsWide(input_->key_schema);
-  const int32_t* in_keys = cur_->keys.data();
-  const int32_t* in_hi = wide ? cur_->key_hi.data() : nullptr;
+  // in EndPass, after the pass's steps have all executed. The hi columns
+  // are read (and written) only by the wide instantiation.
+  const KeyView in = CurrentKeys();
   const int32_t* in_rids = cur_->rids.data();
-  int32_t* out_keys = nxt_->keys.data();
-  int32_t* out_hi = wide ? nxt_->key_hi.data() : nullptr;
-  int32_t* out_rids = nxt_->rids.data();
+  const ScatterOut out{nxt_->keys.data(), nxt_->key_hi.data(),
+                       nxt_->rids.data()};
   uint32_t* pid = pid_.data();
   uint32_t* dest = dest_.data();
 
@@ -170,26 +211,14 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
   n1.name = "n1";
   n1.profile = HashStepProfile(data::KeyBytes(input_->key_schema));
   n1.items = n;
-  if (wide) {
-    n1.run = [in_keys, in_hi, pid, mask](const Morsel& m, DeviceId,
-                                         uint32_t* lw) -> uint64_t {
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        pid[i] =
-            MurmurHash2x8(data::PackKeyPair(in_keys[i], in_hi[i])) & mask;
-      }
-      return ConstantWork(lw, m);
-    };
-  } else {
-    n1.run = [in_keys, pid, mask](const Morsel& m, DeviceId,
-                                  uint32_t* lw) -> uint64_t {
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        pid[i] = MurmurHash2x4(static_cast<uint32_t>(in_keys[i])) & mask;
-      }
-      return ConstantWork(lw, m);
-    };
-  }
+  n1.run = [in, pid, mask](const Morsel& m, DeviceId,
+                           uint32_t* lw) -> uint64_t {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      pid[i] = HashKeyAt<kWide>(in, i) & mask;
+    }
+    return ConstantWork(lw, m);
+  };
   steps.push_back(std::move(n1));
-
   StepDef n2;
   n2.name = "n2";
   n2.profile = PartitionHeaderProfile(static_cast<double>(nparts) * 8.0);
@@ -240,53 +269,8 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
                                   ctx_->memory().spec().cache_line_bytes,
                               data::TupleBytes(input_->key_schema));
   n3.items = n;
-  if (wide) {
-    n3.run = [in_keys, in_hi, in_rids, out_keys, out_hi, out_rids, pid, dest,
-              filter](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-      // Wide variant of the write-combining scatter below: the hi key word
-      // rides along in its own slot lane.
-      struct WcSlot {
-        uint32_t base = 0;
-        uint32_t len = 0;
-        int32_t keys[8];
-        int32_t his[8];
-        int32_t rids[8];
-      };
-      WcSlot wc[128];
-      const auto flush = [out_keys, out_hi, out_rids](WcSlot& s) {
-        for (uint32_t k = 0; k < s.len; ++k) {
-          out_keys[s.base + k] = s.keys[k];
-          out_hi[s.base + k] = s.his[k];
-          out_rids[s.base + k] = s.rids[k];
-        }
-        s.len = 0;
-      };
-      uint64_t total = 0;
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        if (filter != nullptr && filter[i] == 0) {
-          total += RecordWork(lw, m, i, 0);
-          continue;
-        }
-        const uint32_t d = dest[i];
-        WcSlot& s = wc[pid[i] & 127u];
-        if (s.len == 0 || s.base + s.len != d || s.len == 8) {
-          flush(s);
-          s.base = d;
-        }
-        s.keys[s.len] = in_keys[i];
-        s.his[s.len] = in_hi[i];
-        s.rids[s.len] = in_rids[i];
-        ++s.len;
-        total += RecordWork(lw, m, i, 1);
-      }
-      for (WcSlot& s : wc) flush(s);
-      return total;
-    };
-    steps.push_back(std::move(n3));
-    return steps;
-  }
-  n3.run = [in_keys, in_rids, out_keys, out_rids, pid, dest,
-            filter](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
+  n3.run = [in, in_rids, out, pid, dest, filter](
+               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
     // Write-combining scatter: within a (work group, partition) sub-region
     // the n2 cursor hands out ascending destinations, so consecutive items
     // of one partition form runs of consecutive slots. Batch each run in a
@@ -294,18 +278,14 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
     // store it as one burst — the scattered stores then hit each output
     // cache line once instead of once per tuple. Each destination is still
     // written exactly once with the same value, so the output (and the sim
-    // backend's accounting) is unchanged.
-    struct WcSlot {
-      uint32_t base = 0;  // destination of entry 0
-      uint32_t len = 0;   // valid entries
-      int32_t keys[8];
-      int32_t rids[8];
-    };
-    WcSlot wc[128];
-    const auto flush = [out_keys, out_rids](WcSlot& s) {
+    // backend's accounting) is unchanged. Wide keys carry the hi word in
+    // the slot's own lane.
+    WcSlot<kWide> wc[128];
+    const auto flush = [out](WcSlot<kWide>& s) {
       for (uint32_t k = 0; k < s.len; ++k) {
-        out_keys[s.base + k] = s.keys[k];
-        out_rids[s.base + k] = s.rids[k];
+        out.keys[s.base + k] = s.keys[k];
+        if constexpr (kWide) out.hi[s.base + k] = s.his[k];
+        out.rids[s.base + k] = s.rids[k];
       }
       s.len = 0;
     };
@@ -317,17 +297,18 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
         continue;
       }
       const uint32_t d = dest[i];
-      WcSlot& s = wc[pid[i] & 127u];
+      WcSlot<kWide>& s = wc[pid[i] & 127u];
       if (s.len == 0 || s.base + s.len != d || s.len == 8) {
         flush(s);
         s.base = d;
       }
-      s.keys[s.len] = in_keys[i];
+      s.keys[s.len] = in.lo[i];
+      if constexpr (kWide) s.his[s.len] = in.hi[i];
       s.rids[s.len] = in_rids[i];
       ++s.len;
       total += RecordWork(lw, m, i, 1);
     }
-    for (WcSlot& s : wc) flush(s);
+    for (WcSlot<kWide>& s : wc) flush(s);
     return total;
   };
   steps.push_back(std::move(n3));

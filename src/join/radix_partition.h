@@ -90,6 +90,11 @@ class RadixPartitioner {
   static uint32_t WgOf(uint64_t i) {
     return static_cast<uint32_t>((i >> 8) & (kWgSlots - 1));
   }
+  /// Key columns of the current pass's input.
+  KeyView CurrentKeys() const;
+  /// n1..n3 of `pass`, one kernel body per key width.
+  template <bool kWide>
+  std::vector<StepDef> PassSeries(int pass);
 
   simcl::SimContext* ctx_;
   const data::Relation* input_;

@@ -66,6 +66,15 @@ class SelectEngine {
   const plan::Predicate& predicate() const { return pred_; }
 
  private:
+  /// f1: evaluates the predicate into the flag column; with kCount (fused
+  /// mode) it also adds each morsel's survivor count to the cursor.
+  template <bool kCount>
+  StepDef EvalStep(const simcl::StepProfile& profile);
+  /// f2: compacts passing tuples into the output, with the hi lane when
+  /// kWide.
+  template <bool kWide>
+  StepDef CompactStep(double tuple_bytes);
+
   const data::Relation* input_;
   plan::Predicate pred_;
   uint32_t prefetch_dist_;

@@ -101,14 +101,6 @@ StatusOr<std::unique_ptr<Session>> JoinService::OpenSession(
   const int slots =
       opts.slots > 0 ? std::min(opts.slots, std::max(1, capacity()))
                      : default_slots();
-  // Streaming policy: an explicit SessionOptions::stream wins (it can
-  // express opting *out*); otherwise a pipelining spec keeps its choice
-  // and only the default-valued kSerial inherits the service default.
-  if (opts.stream.has_value()) {
-    opts.spec.engine.stream = *opts.stream;
-  } else if (opts.spec.engine.stream == exec::StreamMode::kSerial) {
-    opts.spec.engine.stream = opts_.exec.stream;
-  }
   try {
     return std::unique_ptr<Session>(new Session(this, id, std::move(opts),
                                                 slots));

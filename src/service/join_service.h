@@ -15,7 +15,9 @@
 //   * per-session state stays per-session — each session owns a
 //     CoupledJoiner (machine model + lease). Sessions do not tune their
 //     ratios: measurement-driven tuning is a sim-only CoupledJoiner feature
-//     (coproc/ratio_tuner.h), and a service exists to multiplex real cores.
+//     (coproc/ratio_tuner.h), and a service exists to multiplex real cores;
+//   * ServiceOptions::exec only sizes the shared pool (backend, threads,
+//     morsel); a session takes every other knob from its own spec.
 //
 // Threading model: a session's requests execute serially on the session's
 // own runner thread (per-session state is single-caller by design); any
@@ -51,12 +53,12 @@ inline exec::ExecOptions DefaultServiceExec() {
 
 /// Service-level configuration.
 struct ServiceOptions {
-  /// Execution substrate every session's lease executes on: backend kind,
-  /// shared pool size (`threads`; 0 = hardware concurrency), morsel
-  /// granularity, and the service-wide out-of-core streaming default
-  /// (`stream`; a session overrides it with SessionOptions::stream). The
-  /// same exec::ExecOptions struct join::EngineOptions embeds — one knob
-  /// set, validated in one place (ExecOptions::Validate).
+  /// Execution substrate every session's lease executes on. Only the
+  /// fields that size the shared pool are read: backend kind, pool size
+  /// (`threads`; 0 = hardware concurrency) and morsel granularity. Every
+  /// other knob a session runs with comes from its SessionOptions::spec.
+  /// The same exec::ExecOptions struct join::EngineOptions embeds,
+  /// validated in one place (ExecOptions::Validate).
   exec::ExecOptions exec = DefaultServiceExec();
   /// Admission cap on concurrently open sessions.
   int max_sessions = 8;
@@ -76,11 +78,6 @@ struct SessionOptions {
   coproc::JoinSpec spec;          ///< algorithm/scheme/engine defaults
   /// Worker-slot quota override; 0 = the service default.
   int slots = 0;
-  /// Out-of-core streaming override: unset inherits ServiceOptions::stream,
-  /// set (either value) wins over it — so a session can explicitly opt
-  /// *out* of a pipelining service default, which spec.engine.stream alone
-  /// cannot express (kSerial is its default value).
-  std::optional<exec::StreamMode> stream;
 };
 
 /// Aggregate service counters (monotonic).

@@ -9,13 +9,35 @@
 namespace apujoin::coproc {
 namespace {
 
-data::Workload MakeWorkload(uint64_t n) {
+data::Workload MakeWorkload(uint64_t n,
+                            data::KeySchema schema = data::KeySchema::kU32,
+                            double selectivity = 1.0) {
   data::WorkloadSpec spec;
   spec.build_tuples = n;
   spec.probe_tuples = n;
+  spec.selectivity = selectivity;
+  spec.key_schema = schema;
   auto w = data::GenerateWorkload(spec);
   EXPECT_TRUE(w.ok());
   return std::move(w).value();
+}
+
+/// Runs the coarse-grained PHJ on both backends and checks each count
+/// against the reference oracle.
+void ExpectExactOnEveryBackend(const data::Workload& w) {
+  const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kThreadPool}) {
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    simcl::SimContext ctx;
+    JoinSpec spec;
+    spec.engine.partitions = 16;
+    spec.engine.backend = backend;
+    spec.engine.threads = 2;
+    auto report = ExecuteCoarsePhj(&ctx, w, spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->matches, reference);
+  }
 }
 
 TEST(CoarseGrainedTest, MatchesReference) {
@@ -92,6 +114,36 @@ TEST(CoarseGrainedTest, FanOutJoinIsExact) {
     auto report = ExecuteCoarsePhj(&ctx, w, spec);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->matches, reference);
+  }
+}
+
+TEST(CoarseGrainedTest, WideKeysCompareTheHiWord) {
+  // Equal low words, different high words: no U64 key matches. A pair
+  // join that hashed and compared only the low word would return every
+  // probe row as a match.
+  data::Workload w;
+  w.build.key_schema = data::KeySchema::kU64;
+  w.probe.key_schema = data::KeySchema::kU64;
+  for (int32_t i = 0; i < 4096; ++i) {
+    w.build.Append(i, /*hi=*/1, i);
+    w.probe.Append(i, /*hi=*/2, i);
+  }
+  w.spec.build_tuples = 4096;
+  w.spec.probe_tuples = 4096;
+  w.spec.key_schema = data::KeySchema::kU64;
+  w.expected_matches = 0;
+  ASSERT_EQ(join::ReferenceMatchCount(w.build, w.probe), 0u);
+  ExpectExactOnEveryBackend(w);
+}
+
+TEST(CoarseGrainedTest, GeneratedWideSchemasAreExact) {
+  // The generator's wide build keys share low words past 1024 tuples, so
+  // only the hi-word compare keeps these exact.
+  for (data::KeySchema schema :
+       {data::KeySchema::kU64, data::KeySchema::kComposite,
+        data::KeySchema::kDictString}) {
+    SCOPED_TRACE(data::KeySchemaName(schema));
+    ExpectExactOnEveryBackend(MakeWorkload(1 << 13, schema, 0.5));
   }
 }
 

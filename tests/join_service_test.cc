@@ -216,27 +216,6 @@ TEST(JoinServiceTest, DefaultSlotsClampToCapacity) {
   EXPECT_EQ((*session)->slots(), 2);
 }
 
-TEST(JoinServiceTest, StreamDefaultInheritsAndSessionOverrideWins) {
-  ServiceOptions opts;
-  opts.exec.backend = exec::BackendKind::kSim;
-  opts.exec.stream = exec::StreamMode::kPipelined;
-  JoinService service(opts);
-
-  // Default-valued sessions inherit the service-wide streaming mode.
-  auto inherited = service.OpenSession(ShjSession());
-  ASSERT_TRUE(inherited.ok());
-  EXPECT_EQ((*inherited)->joiner().spec().engine.stream,
-            exec::StreamMode::kPipelined);
-
-  // An explicit per-session choice can opt back out of it.
-  SessionOptions serial = ShjSession();
-  serial.stream = exec::StreamMode::kSerial;
-  auto opted_out = service.OpenSession(serial);
-  ASSERT_TRUE(opted_out.ok());
-  EXPECT_EQ((*opted_out)->joiner().spec().engine.stream,
-            exec::StreamMode::kSerial);
-}
-
 TEST(JoinServiceTest, ConcurrentSimSessionsBitIdenticalToSolo) {
   const data::Workload w = MakeWorkload(1 << 14, 1 << 16);
 

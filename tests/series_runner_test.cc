@@ -98,7 +98,8 @@ TEST_F(SeriesRunnerTest, ModeledExcludesLockTime) {
   opts.ratios = {0.0, 0.0, 0.0};  // all GPU: heavy contention
   const SeriesResult res = RunSeries(&ctx_, steps, opts);
   EXPECT_GT(res.lock_ns, 0.0);
-  EXPECT_LT(res.modeled_elapsed_ns, res.elapsed_ns);
+  const simcl::DeviceTime& gpu = res.steps[1].stats.time[1];
+  EXPECT_LT(gpu.ModeledNs(), gpu.TotalNs());
 }
 
 TEST_F(SeriesRunnerTest, DrainChargesAllocatorOps) {

@@ -12,7 +12,14 @@ Rules (over src/ unless stated otherwise):
                   same line or within the 5 lines above it. Implicit
                   seq_cst is almost always either an unintended cost or an
                   unexamined protocol; the comment records which ordering
-                  argument was actually made.
+                  argument was actually made. Operators on an atomic
+                  are implicit seq_cst operations too: in a .cc file,
+                  `=`, compound assignment, `++` and `--` on a name
+                  declared std::atomic<...> in that file or in its header
+                  are flagged — spell them .store() / .fetch_add() with
+                  an order. Headers are not scanned for operators: a
+                  header may declare an atomic and a plain struct with
+                  the same field names (alloc/allocator.h does).
   no-assert       no assert() in src/ — it vanishes under NDEBUG, so the
                   invariant silently stops being checked in release
                   builds. Use APU_CHECK (always on) or return a Status.
@@ -169,6 +176,54 @@ def check_atomic_order(path, lines, errors):
                 f"{rel(path)}:{i + 1}: atomic operation lacks a justifying "
                 f"comment (same line or the {COMMENT_LOOKBACK} lines above): "
                 f"{raw.strip()}")
+
+
+# `std::atomic<T> name` declarations (members, locals, references, arrays)
+# — not containers of atomics: a preceding `<` (vector<std::atomic<T>>)
+# excludes those, whose elements are reached through operator[] calls.
+ATOMIC_DECL_RE = re.compile(
+    r"(?<![<\w:])(?:std::)?atomic\s*<[^<>;]*>\s*&?\s*(\w+)")
+
+
+def atomic_names(lines):
+    names = set()
+    for raw in lines:
+        code = strip_strings(raw).partition("//")[0]
+        names.update(ATOMIC_DECL_RE.findall(code))
+    return names
+
+
+def check_atomic_operators(path, lines, names, errors):
+    """Flags `name = v`, `name op= v`, `name++` / `++name` (and `--`) on
+    the atomic `names`: each is an implicit seq_cst store or RMW. Only bare
+    names count — `obj.name` / `p->name` may be a non-atomic field of the
+    same name in another struct — and a name preceded by a type token is a
+    declaration of something else, not an operation."""
+    if not names:
+        return
+    alt = "|".join(sorted(re.escape(n) for n in names))
+    sub = r"(?:\s*\[[^\]]*\])?"
+    assign = re.compile(
+        rf"(?<![\w.>:])({alt}){sub}\s*(?:<<|>>|[-+*/%&|^])?=(?!=)")
+    postfix = re.compile(rf"(?<![\w.>:])({alt}){sub}\s*(?:\+\+|--)")
+    prefix = re.compile(rf"(?:\+\+|--)\s*({alt})\b(?!\s*(?:\.|->))")
+    for i, raw in enumerate(lines):
+        code = strip_strings(raw).partition("//")[0]
+        if DECL_RE.match(code) or ATOMIC_DECL_RE.search(code):
+            continue
+        for rx in (assign, postfix, prefix):
+            m = rx.search(code)
+            if m is None:
+                continue
+            before = code[:m.start()].rstrip()
+            if rx is not prefix and re.search(r"[\w*&>]$", before):
+                continue  # `T name = ...`: declares a different variable
+            errors.append(
+                f"{rel(path)}:{i + 1}: operator on std::atomic "
+                f"'{m.group(1)}' is an implicit seq_cst operation — use "
+                f".store()/.fetch_add()/.fetch_sub() with an explicit "
+                f"std::memory_order: {raw.strip()}")
+            break
 
 
 def check_no_assert(path, lines, errors):
@@ -342,6 +397,13 @@ def main():
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = f.read().splitlines()
         check_atomic_order(path, lines, errors)
+        if path.endswith(".cc"):
+            names = atomic_names(lines)
+            header = os.path.splitext(path)[0] + ".h"
+            if os.path.exists(header):
+                with open(header, encoding="utf-8", errors="replace") as f:
+                    names |= atomic_names(f.read().splitlines())
+            check_atomic_operators(path, lines, names, errors)
         check_no_assert(path, lines, errors)
         check_kernel_no_alloc(path, lines, errors)
         check_kernel_no_schema_branch(path, lines, errors)
