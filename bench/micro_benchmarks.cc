@@ -44,7 +44,7 @@ void BM_BasicAllocator(benchmark::State& state) {
   alloc::BasicAllocator allocator(&arena);
   uint32_t wg = 0;
   for (auto _ : state) {
-    if (allocator.Allocate(1, simcl::DeviceId::kGpu, wg++ & 1023) < 0) {
+    if (allocator.Allocate(simcl::DeviceId::kGpu, wg++ & 1023) < 0) {
       arena.Reset();
     }
   }
@@ -56,7 +56,7 @@ void BM_BlockAllocator(benchmark::State& state) {
   alloc::BlockAllocator allocator(&arena, 2048);
   uint32_t wg = 0;
   for (auto _ : state) {
-    if (allocator.Allocate(1, simcl::DeviceId::kGpu, wg++ & 1023) < 0) {
+    if (allocator.Allocate(simcl::DeviceId::kGpu, wg++ & 1023) < 0) {
       arena.Reset();
       allocator.Reset();
     }
@@ -115,6 +115,7 @@ void BM_HashTableProbe(benchmark::State& state) {
         table.BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)));
     benchmark::DoNotOptimize(table.FindKey(bucket, key, &work));
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HashTableProbe);
 

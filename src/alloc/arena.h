@@ -3,8 +3,9 @@
 // OpenCL 1.2 kernels cannot malloc; the paper builds a software dynamic
 // memory allocator over a pre-allocated array (Section 3.3, after Hong et
 // al. MapCG). An Arena is such an array: `capacity` fixed-size elements.
-// Allocators (basic_allocator.h, block_allocator.h) hand out contiguous
-// index ranges from an arena and account the synchronisation cost.
+// Allocators (basic_allocator.h, block_allocator.h) hand out its elements,
+// one at a time or from reserved blocks, and count the synchronisation the
+// paper's kernels would pay.
 
 #ifndef APUJOIN_ALLOC_ARENA_H_
 #define APUJOIN_ALLOC_ARENA_H_

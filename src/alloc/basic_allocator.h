@@ -18,15 +18,16 @@ class BasicAllocator : public Allocator {
  public:
   explicit BasicAllocator(Arena* arena) : arena_(arena) {}
 
-  int64_t Allocate(uint32_t count, simcl::DeviceId dev,
-                   uint32_t workgroup) override;
+  int64_t Allocate(simcl::DeviceId dev, uint32_t workgroup) override;
   AllocCounts TakeCounts() override;
+  uint64_t Unhanded() const override { return 0; }
   void Reset() override;
   AllocatorKind kind() const override { return AllocatorKind::kBasic; }
 
  private:
   Arena* arena_;
-  AtomicAllocCounts counts_;
+  /// Requests per device: each is one latched pointer bump.
+  std::atomic<uint64_t> requests_[simcl::kNumDevices] = {};
 };
 
 }  // namespace apujoin::alloc

@@ -17,17 +17,15 @@ namespace {
 /// unlike ratios (Eq. 6's communication term).
 constexpr double kCommBytesPerItem = 8.0;
 
-/// Drains allocator counts; under the sim backend they are priced by the
-/// latch model and added to the step's device times. Real-execution
-/// backends already paid these costs inside the measured wall time, so the
-/// drained counts are discarded (the drain still happens, keeping the
-/// counters scoped to one step).
+/// Under the sim backend, drains the allocator counts, prices them with the
+/// latch model and adds them to the step's device times. Real-execution
+/// backends already paid these costs inside the measured wall time and
+/// never drain.
 void ChargeAllocations(exec::Backend* backend,
                        const std::function<alloc::AllocCounts()>& drain,
                        StepStats* stats) {
-  if (!drain) return;
+  if (!drain || backend->kind() != exec::BackendKind::kSim) return;
   const alloc::AllocCounts counts = drain();
-  if (backend->kind() != exec::BackendKind::kSim) return;
   simcl::DeviceTime extra[simcl::kNumDevices];
   alloc::ChargeAllocCounts(*backend->context(), counts, extra);
   for (int d = 0; d < simcl::kNumDevices; ++d) stats->time[d] += extra[d];

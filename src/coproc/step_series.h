@@ -35,10 +35,10 @@ namespace apujoin::coproc {
 struct SeriesOptions {
   /// Per-step CPU ratios; size must equal the step count.
   std::vector<double> ratios;
-  /// Drained after each step. Under the sim backend the allocator op counts
-  /// are charged into the step's device times (lock part separated); under
-  /// real-execution backends the costs are already inside the wall-clock
-  /// measurement, so the drained counts are discarded.
+  /// Drained after each step, on the sim backend only: the allocator op
+  /// counts are charged into the step's device times (lock part
+  /// separated). Real-execution backends never call it; the costs are
+  /// already inside their wall-clock measurement.
   std::function<alloc::AllocCounts()> drain_alloc;
 };
 

@@ -84,7 +84,8 @@ class GroupByEngine {
         ++work;
       }
     }
-    // relaxed: commutative statistics updates, read after the barrier.
+    // relaxed: the group's row count is part of the answer; commutative
+    // adds, read after the barrier.
     counts_[b].fetch_add(1, std::memory_order_relaxed);
     switch (agg_) {
       case plan::AggFn::kCount:

@@ -44,12 +44,12 @@ NodePools::NodePools(uint64_t key_capacity, uint64_t rid_capacity,
 }
 
 int32_t NodePools::AllocKey(simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = key_alloc_->Allocate(1, dev, workgroup);
+  const int64_t idx = key_alloc_->Allocate(dev, workgroup);
   return idx < 0 ? kNil : static_cast<int32_t>(idx);
 }
 
 int32_t NodePools::AllocRid(simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = rid_alloc_->Allocate(1, dev, workgroup);
+  const int64_t idx = rid_alloc_->Allocate(dev, workgroup);
   return idx < 0 ? kNil : static_cast<int32_t>(idx);
 }
 
@@ -134,8 +134,6 @@ int32_t HashTable::FindOrAdd(uint32_t bucket, int32_t lo, int32_t hi,
     // head; acquire orders our re-scan when we lose the race.
     if (head_[bucket].compare_exchange_strong(expected, ni,
                                               std::memory_order_acq_rel)) {
-      // relaxed: statistics counter.
-      keys_inserted_.fetch_add(1, std::memory_order_relaxed);
       *work += traversed;
       return ni;
     }
@@ -188,8 +186,6 @@ bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
     pools_->rid_next[ni] = old;
   } while (!pools_->rid_head[key_node].compare_exchange_weak(
       old, ni, std::memory_order_acq_rel));
-  // relaxed: statistics counter.
-  rids_inserted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -232,13 +228,28 @@ std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
   return {keys_moved, rids_moved};
 }
 
-double HashTable::WorkingSetBytes() const {
-  const double headers = static_cast<double>(num_buckets_) * 8.0;
-  // Wide pools carry the secondary key word: 16 B per key node vs 12.
-  const double key_node_bytes = pools_->wide_keys() ? 16.0 : 12.0;
-  const double keys = static_cast<double>(keys_inserted()) * key_node_bytes;
-  const double rids = static_cast<double>(rids_inserted()) * 8.0;
-  return headers + keys + rids;
+uint64_t HashTable::keys_inserted() const {
+  uint64_t keys = 0;
+  // relaxed: walk of a quiescent table, after the build span.
+  for (const auto& h : head_) {
+    for (int32_t kn = h.load(std::memory_order_relaxed); kn != kNil;
+         kn = pools_->key_next[kn].load(std::memory_order_relaxed)) {
+      ++keys;
+    }
+  }
+  return keys;
+}
+
+uint64_t HashTable::rids_inserted() const {
+  uint64_t rids = 0;
+  // relaxed: walk of a quiescent table, after the build span.
+  for (const auto& h : head_) {
+    for (int32_t kn = h.load(std::memory_order_relaxed); kn != kNil;
+         kn = pools_->key_next[kn].load(std::memory_order_relaxed)) {
+      rids += ForEachRid(kn, [](int32_t) {});
+    }
+  }
+  return rids;
 }
 
 uint64_t HashTable::TotalCount() const {

@@ -169,23 +169,15 @@ class HashTable {
   std::pair<uint64_t, uint64_t> MergeFrom(const HashTable& other,
                                           uint32_t shift, simcl::DeviceId dev);
 
-  /// Key/rid nodes inserted through this table.
-  uint64_t keys_inserted() const {
-    return keys_inserted_.load(std::memory_order_relaxed);
-  }
-  uint64_t rids_inserted() const {
-    return rids_inserted_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes of the table's working set (headers + inserted nodes) — feeds
-  /// the memory model's resident-fraction estimate.
-  double WorkingSetBytes() const;
-
   /// Enables cache-line tracing into `cache` (nullptr disables).
   void set_cache(simcl::CacheSim* cache) { cache_ = cache; }
 
   /// Sums the per-bucket counts — test/debug invariant helper.
   uint64_t TotalCount() const;
+  /// Key nodes linked into this table, and rid nodes in their lists. Walks
+  /// a quiescent table — test/debug helpers, like TotalCount.
+  uint64_t keys_inserted() const;
+  uint64_t rids_inserted() const;
 
  private:
   void Touch(const void* p) const {
@@ -199,8 +191,6 @@ class HashTable {
   NodePools* pools_;
   std::vector<std::atomic<int32_t>> head_;
   std::vector<std::atomic<int32_t>> count_;
-  std::atomic<uint64_t> keys_inserted_{0};
-  std::atomic<uint64_t> rids_inserted_{0};
   simcl::CacheSim* cache_ = nullptr;
 };
 

@@ -125,7 +125,6 @@ int32_t OpenHashTable::FindOrAdd(uint32_t home_bucket, int32_t lo, int32_t hi,
         // Unlock and publish the new slot in one release store; the key
         // word writes above are ordered before it.
         state_[b].store(locked_cnt + 1, std::memory_order_release);
-        keys_inserted_.fetch_add(1, std::memory_order_relaxed);
         *work += probed;
         return Global(base + locked_cnt);
       }
@@ -154,8 +153,6 @@ bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
   do {
     pools_->rid_next[ni] = old;
   } while (!head.compare_exchange_weak(old, ni, std::memory_order_acq_rel));
-  // relaxed: statistics counter.
-  rids_inserted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -293,14 +290,21 @@ std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
   return {keys_moved, rids_moved};
 }
 
-double OpenHashTable::WorkingSetBytes() const {
-  // Bucket arrays are materialised up front: 8 keys (32 B) + 8 rid heads
-  // (32 B) + state + count per bucket; wide tables add the 8-slot
-  // secondary key-word line (32 B); rid nodes accrue per insert.
-  const double per_bucket = keys_hi_.size() != 0 ? 104.0 : 72.0;
-  const double buckets = static_cast<double>(num_buckets_) * per_bucket;
-  const double rids = static_cast<double>(rids_inserted()) * 8.0;
-  return buckets + rids;
+uint64_t OpenHashTable::keys_inserted() const {
+  uint64_t keys = 0;
+  // relaxed: walk of a quiescent table, after the build span.
+  for (size_t b = 0; b < state_.size(); ++b) {
+    keys += state_[b].load(std::memory_order_relaxed) & kCountMask;
+  }
+  return keys;
+}
+
+uint64_t OpenHashTable::rids_inserted() const {
+  uint64_t rids = 0;
+  for (uint32_t s = 0; s < num_slots(); ++s) {
+    rids += ForEachRid(Global(s), [](int32_t) {});
+  }
+  return rids;
 }
 
 uint64_t OpenHashTable::TotalCount() const {

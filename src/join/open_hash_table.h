@@ -161,23 +161,15 @@ class OpenHashTable {
   std::pair<uint64_t, uint64_t> MergeFrom(const OpenHashTable& other,
                                           uint32_t shift, simcl::DeviceId dev);
 
-  // (relaxed: statistics counters, read after the build span.)
-  uint64_t keys_inserted() const {
-    return keys_inserted_.load(std::memory_order_relaxed);
-  }
-  uint64_t rids_inserted() const {
-    return rids_inserted_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes of the table's working set (bucket arrays + inserted rid
-  /// nodes) — feeds the memory model's resident-fraction estimate.
-  double WorkingSetBytes() const;
-
   /// Enables cache-line tracing into `cache` (nullptr disables).
   void set_cache(simcl::CacheSim* cache) { cache_ = cache; }
 
   /// Sums the per-bucket tuple counts — test/debug invariant helper.
   uint64_t TotalCount() const;
+  /// Keys in published slots, and rid nodes in their lists. Walks a
+  /// quiescent table — test/debug helpers, like TotalCount.
+  uint64_t keys_inserted() const;
+  uint64_t rids_inserted() const;
 
  private:
   // Probe loops returning *local* slot indexes (bucket * 8 + slot).
@@ -212,8 +204,6 @@ class OpenHashTable {
   alloc::AlignedArray<std::atomic<int32_t>> rid_head_;  // 1 per slot
   alloc::AlignedArray<std::atomic<uint32_t>> state_;    // 1 per bucket
   alloc::AlignedArray<std::atomic<int32_t>> count_;     // tuples per bucket
-  std::atomic<uint64_t> keys_inserted_{0};
-  std::atomic<uint64_t> rids_inserted_{0};
   simcl::CacheSim* cache_ = nullptr;
 };
 

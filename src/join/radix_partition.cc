@@ -154,21 +154,21 @@ void RadixPartitioner::BeginPass(int pass) {
   // ordered by claiming work group.
   cursor_ = std::vector<std::atomic<uint32_t>>(
       static_cast<size_t>(kWgSlots) * nparts);
+  first_.assign(static_cast<size_t>(kWgSlots) * nparts, 0);
   std::vector<uint32_t> part_base(nparts + 1, 0);
   uint32_t running = 0;
   for (uint32_t p = 0; p < nparts; ++p) {
     part_base[p] = running;
     for (uint32_t w = 0; w < kWgSlots; ++w) {
+      const size_t slot = static_cast<size_t>(p) * kWgSlots + w;
+      first_[slot] = running;
       // relaxed: histogram phase ended at a span barrier; these stores
       // are published to scatter workers by the next span launch.
-      cursor_[static_cast<size_t>(p) * kWgSlots + w].store(
-          running, std::memory_order_relaxed);
-      running += counts[static_cast<size_t>(p) * kWgSlots + w];
+      cursor_[slot].store(running, std::memory_order_relaxed);
+      running += counts[slot];
     }
   }
   part_base[nparts] = running;
-  claims_ = std::vector<std::atomic<uint32_t>>(
-      static_cast<size_t>(kWgSlots) * nparts);
   live_ = running;  // survivors (= n when unfiltered)
 
   if (pass + 1 == plan_.passes) {
@@ -226,8 +226,9 @@ std::vector<StepDef> RadixPartitioner::PassSeries(int pass) {
   const uint32_t dist = opts_.prefetch_dist;
   n2.run = [this, dist, filter, pid, dest](const Morsel& m, DeviceId dev,
                                            uint32_t* lw) -> uint64_t {
-    const int di = static_cast<int>(dev);
     uint64_t total = 0;
+    uint64_t claimed = 0;
+    uint64_t chunks = 0;  // claims that open a chunk of the sub-region
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (dist != 0 && i + dist < m.end) {
         // pid is fully populated by n1, so the upcoming cursor line is
@@ -248,17 +249,13 @@ std::vector<StepDef> RadixPartitioner::PassSeries(int pass) {
       dest[i] = cursor_[slot].fetch_add(1, std::memory_order_relaxed);
       // Block-allocation discipline: one global atomic per chunk of claims
       // from this (work group, partition) sub-region, local bumps otherwise.
-      counts_.requests[di].fetch_add(1, std::memory_order_relaxed);
-      if (claims_[slot].fetch_add(1, std::memory_order_relaxed) %
-              chunk_elems_ ==
-          0) {
-        counts_.global_atomics[di].fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // relaxed (both arms): statistics counters.
-        counts_.local_atomics[di].fetch_add(1, std::memory_order_relaxed);
-      }
+      // The claim's index in its sub-region is its offset from the first
+      // slot, so only the morsel's own tally is written.
+      ++claimed;
+      if ((dest[i] - first_[slot]) % chunk_elems_ == 0) ++chunks;
       total += RecordWork(lw, m, i, 1);
     }
+    counts_.Add(dev, chunks, claimed - chunks);
     return total;
   };
   steps.push_back(std::move(n2));

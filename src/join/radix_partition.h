@@ -77,7 +77,7 @@ class RadixPartitioner {
   /// P+1 exclusive-prefix partition boundaries (valid after last EndPass).
   const std::vector<uint32_t>& offsets() const { return offsets_; }
 
-  /// Allocator-style op counts accumulated by slot claiming.
+  /// Allocator-style op counts accumulated by slot claiming (sim drain).
   alloc::AllocCounts TakeCounts();
 
   /// Partition-id mask of `pass` (cumulative low bits, capped at the total
@@ -110,13 +110,13 @@ class RadixPartitioner {
 
   std::vector<uint32_t> pid_;   // per-item partition id (current pass)
   std::vector<uint32_t> dest_;  // per-item destination slot
-  // Per (wg, partition) cursors and claim counters for the current pass.
-  // Atomic: work groups sharing a slot may claim concurrently under the
-  // thread-pool backend.
+  // Per (wg, partition) claim cursors for the current pass. Atomic: work
+  // groups sharing a slot may claim concurrently under the thread-pool
+  // backend.
   std::vector<std::atomic<uint32_t>> cursor_;
-  std::vector<std::atomic<uint32_t>> claims_;
+  std::vector<uint32_t> first_;  // each cursor's first slot
   std::vector<uint32_t> offsets_;
-  alloc::AtomicAllocCounts counts_;
+  alloc::AtomicAllocCounts counts_;  // flushed once per n2 morsel
 };
 
 }  // namespace apujoin::join

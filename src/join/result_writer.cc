@@ -20,8 +20,7 @@ ResultWriter::~ResultWriter() { FreeSegments(); }
 int32_t* ResultWriter::Claim(simcl::DeviceId dev, uint32_t workgroup,
                              uint64_t* off, uint64_t* size) {
   // The arena spans the whole directory, so the reservation cannot fail.
-  const auto slot =
-      static_cast<uint64_t>(alloc_->Allocate(1, dev, workgroup));
+  const auto slot = static_cast<uint64_t>(alloc_->Allocate(dev, workgroup));
   const int k = SegmentOf(slot);
   *off = slot - SegmentBase(k);
   *size = SegmentSize(k);
@@ -52,9 +51,6 @@ void ResultWriter::Emit(int32_t build_rid, int32_t probe_rid,
   int32_t* seg = Claim(dev, workgroup, &off, &size);
   seg[off] = build_rid;
   seg[size + off] = probe_rid;
-  // relaxed: statistics counter — readers of the pairs themselves
-  // synchronise through the span barrier, not through emitted_.
-  emitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResultWriter::Emit(int32_t key, int32_t build_rid, int32_t probe_rid,
@@ -65,9 +61,6 @@ void ResultWriter::Emit(int32_t key, int32_t build_rid, int32_t probe_rid,
   seg[off] = build_rid;
   seg[size + off] = probe_rid;
   seg[2 * size + off] = key;
-  // relaxed: statistics counter — readers of the pairs themselves
-  // synchronise through the span barrier, not through emitted_.
-  emitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResultWriter::CaptureKeys() {
@@ -99,8 +92,6 @@ void ResultWriter::Reset() {
     int32_t* seg = segments_[k].load(std::memory_order_relaxed);
     if (seg != nullptr) std::fill(seg, seg + SegmentSize(k), -1);
   }
-  // relaxed: Reset runs only between spans, on a quiesced writer.
-  emitted_.store(0, std::memory_order_relaxed);
 }
 
 void ResultWriter::FreeSegments() {

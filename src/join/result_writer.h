@@ -1,7 +1,9 @@
 // Join-result output buffer (the third dynamic-allocation site of Section
 // 3.3). Result pairs <build rid, probe rid> are appended through the
 // software allocator, so output traffic participates in the latch/block-size
-// experiments exactly like key/rid node allocation.
+// experiments exactly like key/rid node allocation. An emit claims a slot
+// and writes it, nothing more: the writer keeps no emit counter, and the
+// pair count follows from the allocator's reservations (count()).
 //
 // The paper carves results from one pre-allocated array because OpenCL
 // kernels cannot malloc. Here the allocator's index space is unbounded in
@@ -50,8 +52,10 @@ class ResultWriter {
   void CaptureKeys();
   bool captures_keys() const { return keyed_; }
 
-  /// Number of result pairs emitted (block over-reservation excluded).
-  uint64_t count() const { return emitted_.load(std::memory_order_relaxed); }
+  /// Number of result pairs emitted: the slots reserved minus the
+  /// allocator's unhanded block remainders. Scans the allocator's block
+  /// caches, so call it once per operator, after the emitting series.
+  uint64_t count() const { return arena_.used() - alloc_->Unhanded(); }
 
   /// Gathers the emitted pairs (slot order is not deterministic across
   /// allocator kinds; unclaimed block-remainder slots are skipped).
@@ -89,6 +93,7 @@ class ResultWriter {
     }
   }
 
+  /// The allocator's op counts since the last call (sim drain only).
   alloc::AllocCounts TakeCounts() { return alloc_->TakeCounts(); }
 
   /// Forgets every pair (segments are kept and re-marked unwritten).
@@ -127,7 +132,6 @@ class ResultWriter {
   /// Segment k is one block of SegmentSize(k) slots per column: build
   /// rids (-1 marks an unwritten slot), probe rids, then keys if keyed_.
   std::atomic<int32_t*> segments_[kMaxSegments] = {};
-  std::atomic<uint64_t> emitted_{0};
 };
 
 }  // namespace apujoin::join

@@ -162,12 +162,6 @@ TEST_F(HashTableTest, MergePreservesExistingEntries) {
   EXPECT_EQ(Lookup(1).size(), 2u);
 }
 
-TEST_F(HashTableTest, WorkingSetGrowsWithContent) {
-  const double before = table_.WorkingSetBytes();
-  for (int32_t k = 0; k < 100; ++k) Insert(k * 2 + 1, k);
-  EXPECT_GT(table_.WorkingSetBytes(), before);
-}
-
 TEST(HashTableCtor, RejectsInvalidBucketCounts) {
   NodePools pools(16, 16, alloc::AllocatorKind::kBasic, 64);
   // BucketOf masks with num_buckets - 1, so zero or a non-power-of-two

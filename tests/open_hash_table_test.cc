@@ -170,12 +170,6 @@ TEST_F(OpenHashTableTest, MergePreservesExistingEntries) {
   EXPECT_EQ(Lookup(1).size(), 2u);
 }
 
-TEST_F(OpenHashTableTest, WorkingSetGrowsWithContent) {
-  const double before = table_.WorkingSetBytes();
-  for (int32_t k = 0; k < 100; ++k) Insert(k * 2 + 1, k);
-  EXPECT_GT(table_.WorkingSetBytes(), before);
-}
-
 TEST_F(OpenHashTableTest, ConcurrentInsertsDeduplicate) {
   // 4 threads insert the same 2048 keys; every key must end with exactly
   // one slot and 4 rids, exercising the lock-free fast path, the spin-lock

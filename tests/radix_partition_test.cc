@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "coproc/step_series.h"
 #include "data/generator.h"
@@ -169,16 +170,30 @@ TEST_F(RadixPartitionTest, ClaimAccountingFollowsBlockSize) {
   opts_.partitions = 4;
   opts_.block_bytes = 64;  // 8 claims per chunk
   const RadixPlan plan = RadixPlan::Make(rel.size(), rel.size(), 4e6, opts_);
+  ASSERT_EQ(plan.passes, 1);
   RadixPartitioner part(&ctx_, &rel, plan, opts_);
   ASSERT_TRUE(part.Prepare().ok());
-  RunAllPasses(&ctx_, &part);
+  RunAllPasses(&ctx_, &part, 0.37);
   const alloc::AllocCounts c = part.TakeCounts();
-  const uint64_t total = c.global_atomics[0] + c.local_atomics[0];
-  EXPECT_EQ(total, rel.size());
-  // Roughly one global claim per 8 inserts (sub-region boundaries add a
-  // few extras).
-  EXPECT_LT(c.global_atomics[0], rel.size() / 4);
-  EXPECT_GT(c.global_atomics[0], rel.size() / 16);
+  // Claims fill (partition, work group) sub-regions of 256 input items; a
+  // sub-region pays one global atomic per chunk of 8 claims.
+  std::map<std::pair<uint32_t, uint64_t>, uint64_t> claims;
+  for (uint64_t i = 0; i < rel.size(); ++i) {
+    const uint32_t p = MurmurHash2x4(static_cast<uint32_t>(rel.keys[i])) & 3;
+    ++claims[{p, (i >> 8) & 63}];
+  }
+  uint64_t chunks = 0;
+  for (const auto& [region, n] : claims) chunks += (n + 7) / 8;
+  EXPECT_EQ(c.global_atomics[0] + c.global_atomics[1], chunks);
+  EXPECT_EQ(c.global_atomics[0] + c.local_atomics[0] + c.global_atomics[1] +
+                c.local_atomics[1],
+            rel.size());
+  EXPECT_GT(c.local_atomics[0], 0u);
+  EXPECT_GT(c.local_atomics[1], 0u);
+  const alloc::AllocCounts again = part.TakeCounts();
+  EXPECT_EQ(again.global_atomics[0] + again.local_atomics[0] +
+                again.global_atomics[1] + again.local_atomics[1],
+            0u);
 }
 
 }  // namespace

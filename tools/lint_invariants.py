@@ -63,6 +63,24 @@ Rules (over src/ unless stated otherwise):
                   `if constexpr` (e.g. on a kWide template parameter) is
                   allowed — it leaves no branch in the instantiation.
 
+  no-stat-rmw     real kernels do not pay for simulator bookkeeping: no
+                  atomic read-modify-write that is a statistics counter or
+                  tally inside a MorselKernel body (`.run = [...]`) or
+                  inside the per-element functions kernels call
+                  (PER_ELEMENT_FUNCS: Allocate, the result writer's Emit
+                  and Claim, FindOrAdd, InsertRid). Such an RMW puts a
+                  shared cache line on every element of a real run, for a
+                  number only the simulator reads. An RMW counts as a
+                  statistic when its justifying comment (same line or the
+                  lookback window above) calls it a statistic or tally,
+                  when another atomic operation on the same object in the
+                  file or its header is justified that way, or when its
+                  result only chooses which statistics RMW runs. Tally in
+                  locals and flush once per morsel, or derive the count
+                  where the simulator reads it. STAT_RMW_ALLOWLIST names
+                  each exception (file, function, member) with its reason;
+                  an entry that matches nothing is itself an error.
+
 The linter is line-oriented and deliberately heuristic — it joins
 continuation lines to find the argument list of a call that spills over,
 and brace-matches lambda/function bodies — but it does not parse C++.
@@ -316,6 +334,200 @@ def check_kernel_no_alloc(path, lines, errors):
                     f"through alloc/")
 
 
+# Atomic read-modify-writes (test_and_set is a lock, not a counter).
+RMW_RE = re.compile(
+    r"\.(fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|exchange|"
+    r"compare_exchange_weak|compare_exchange_strong)\s*\(")
+STAT_WORDS = re.compile(r"statistic|\btall(?:y|ies)\b", re.IGNORECASE)
+# Per-element functions kernels call, with the file stem each must live in
+# (None: any file).
+PER_ELEMENT_FUNCS = {
+    "Allocate": None,
+    "FindOrAdd": None,
+    "InsertRid": None,
+    "Emit": "result_writer",
+    "Claim": "result_writer",
+}
+PER_ELEMENT_DEF_RE = re.compile(
+    r"^\s*(?!return\b)[\w:<>,*&]+(?:\s+[\w:<>,*&]+)*?\s+[*&]?"
+    r"(?:\w+::)*(" + "|".join(PER_ELEMENT_FUNCS) + r")\s*\(")
+# (file, function, member) -> why that per-element statistics RMW stays.
+STAT_RMW_ALLOWLIST = {
+    ("src/alloc/basic_allocator.cc", "Allocate", "requests_"):
+        "Basic is Figure 12's contended baseline: it already pays a shared "
+        "RMW per request (the latched pointer bump), the per-device count "
+        "beside it is what the sim prices, and no benchmark workload runs "
+        "it",
+}
+
+
+def rmw_receiver(code, op_start):
+    """The object expression an RMW applies to, subscripts and call
+    arguments dropped: `counts_.requests[di].fetch_add(` -> counts_.requests.
+    Scans backwards from the `.op(` at op_start over names, `.`, `->`,
+    `::` and balanced brackets."""
+    out = []
+    j = op_start - 1
+    while j >= 0:
+        ch = code[j]
+        if ch in "])":
+            close, open_ = ch, "[" if ch == "]" else "("
+            depth = 0
+            while j >= 0:
+                if code[j] == close:
+                    depth += 1
+                elif code[j] == open_:
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j -= 1
+            j -= 1
+            continue
+        if ch.isalnum() or ch in "_.:":
+            out.append(ch)
+            j -= 1
+        elif ch == ">" and j > 0 and code[j - 1] == "-":
+            out.append(".")
+            j -= 2
+        else:
+            break
+    return "".join(reversed(out)).replace("::", ".").strip(".")
+
+
+def stat_justified(lines, i):
+    """True when the comment justifying line i calls it a statistic."""
+    if STAT_WORDS.search(lines[i].partition("//")[2]):
+        return True
+    for j in range(max(0, i - COMMENT_LOOKBACK), i):
+        s = lines[j].strip()
+        comment = s if s.startswith(("//", "*", "/*")) else \
+            strip_strings(lines[j]).partition("//")[2]
+        if STAT_WORDS.search(comment):
+            return True
+    return False
+
+
+def stat_roots(lines):
+    """Objects that some atomic operation in `lines` justifies as a
+    statistic: `counts_` for `counts_.requests[di].fetch_add(...)`."""
+    roots = set()
+    for i, raw in enumerate(lines):
+        code = strip_strings(raw).partition("//")[0]
+        m = ATOMIC_OP_RE.search(code)
+        if m is None or DECL_RE.match(code) or not stat_justified(lines, i):
+            continue
+        roots.add(rmw_receiver(code, m.start()).split(".")[0])
+    return roots
+
+
+def branch_spans(lines, i):
+    """Spans of the then-block and else-block of the `if` whose condition
+    starts at line i (braced blocks only)."""
+    spans = []
+    then = body_span(lines, i)
+    if then is None:
+        return spans
+    opens = next(j for j in range(i, then[1] + 1)
+                 if "{" in strip_strings(lines[j]).partition("//")[0])
+    spans.append((opens, then[1]))
+    tail = strip_strings(lines[then[1]]).partition("//")[0]
+    if re.search(r"\}\s*else\s*\{", tail):
+        depth = 0
+        for j in range(then[1], len(lines)):
+            code = strip_strings(lines[j]).partition("//")[0]
+            if j == then[1]:
+                code = code[code.index("else"):]
+            depth += code.count("{") - code.count("}")
+            if depth == 0 and j > then[1]:
+                spans.append((then[1], j))
+                break
+    return spans
+
+
+def stat_rmws(lines, span, roots):
+    """{line index: receiver} of the statistics RMWs inside span."""
+    found = {}
+    for i in range(span[0], span[1] + 1):
+        code = strip_strings(lines[i]).partition("//")[0]
+        m = RMW_RE.search(code)
+        if m is None:
+            continue
+        recv = rmw_receiver(code, m.start())
+        if stat_justified(lines, i) or recv.split(".")[0] in roots:
+            found[i] = recv
+    # A counter whose result only picks which statistics RMW runs is a
+    # tally too: `if (claims.fetch_add(1) % chunk == 0) { stat } else {
+    # stat }`.
+    for i in range(span[0], span[1] + 1):
+        code = strip_strings(lines[i]).partition("//")[0]
+        m = RMW_RE.search(code)
+        if m is None or i in found or not re.match(r"\s*if\s*\(", code):
+            continue
+        blocks = branch_spans(lines, i)
+        inner = [j for b in blocks for j in range(b[0] + 1, b[1])
+                 if strip_strings(lines[j]).partition("//")[0].strip()
+                 not in ("", "}")]
+        if inner and all(j in found for j in inner):
+            found[i] = rmw_receiver(code, m.start())
+    return found
+
+
+def per_element_bodies(path, lines):
+    """(function name, body span) of the per-element function definitions
+    in `lines`."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    out = []
+    for i, raw in enumerate(lines):
+        code = strip_strings(raw).partition("//")[0]
+        m = PER_ELEMENT_DEF_RE.match(code)
+        if m is None or "=" in code[:m.start(1)]:
+            continue
+        name = m.group(1)
+        if PER_ELEMENT_FUNCS[name] not in (None, stem):
+            continue
+        sig = strip_strings(join_call(lines, i)).partition("//")[0]
+        rest = sig[sig.index(name):]
+        depth = 0
+        for k, ch in enumerate(rest):
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if ch == ")" and depth == 0:
+                rest = rest[k + 1:]
+                break
+        j = i
+        while "{" not in rest and ";" not in rest and j + 1 < len(lines):
+            j += 1
+            rest += strip_strings(lines[j]).partition("//")[0]
+        brace, semi = rest.find("{"), rest.find(";")
+        if brace < 0 or (0 <= semi < brace):
+            continue  # a declaration
+        span = body_span(lines, i)
+        if span is not None:
+            out.append((name, span))
+    return out
+
+
+def check_no_stat_rmw(path, lines, roots, errors, allow_used):
+    scopes = [(None, span) for i, raw in enumerate(lines)
+              if KERNEL_LAMBDA_RE.search(strip_strings(raw))
+              for span in [body_span(lines, i)] if span is not None]
+    scopes += per_element_bodies(path, lines)
+    for func, span in scopes:
+        for i, recv in sorted(stat_rmws(lines, span, roots).items()):
+            key = (rel(path), func, recv)
+            if key in STAT_RMW_ALLOWLIST:
+                allow_used.add(key)
+                continue
+            where = (f"per-element function {func}()" if func else
+                     f"MorselKernel body (`.run = [...]` lambda opened at "
+                     f"line {span[0] + 1})")
+            errors.append(
+                f"{rel(path)}:{i + 1}: statistics RMW on '{recv}' inside a "
+                f"{where} — a shared cache line per element that only the "
+                f"simulator reads; tally in locals and flush once per "
+                f"morsel, or derive the count at the sim drain: "
+                f"{lines[i].strip()}")
+
+
 STEPDEF_DIRS = ("src/join", "src/coproc", "src/plan")
 # Construction sites: a declaration (`StepDef x`, `std::vector<StepDef>`
 # with later emplace, `StepDef{...}`) — not mere references/parameters.
@@ -391,25 +603,42 @@ def check_march_native(errors):
                 continue
 
 
+def read_lines(path):
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return f.read().splitlines()
+
+
+def paired_file(path):
+    """The header of a .cc file, or the .cc of a header (None if absent)."""
+    base, ext = os.path.splitext(path)
+    other = base + (".h" if ext == ".cc" else ".cc")
+    return other if os.path.exists(other) else None
+
+
 def main():
     errors = []
+    allow_used = set()
     for path in iter_files(SRC, CXX_EXTS):
-        with open(path, encoding="utf-8", errors="replace") as f:
-            lines = f.read().splitlines()
+        lines = read_lines(path)
+        pair = paired_file(path)
+        pair_lines = read_lines(pair) if pair else []
         check_atomic_order(path, lines, errors)
         if path.endswith(".cc"):
-            names = atomic_names(lines)
-            header = os.path.splitext(path)[0] + ".h"
-            if os.path.exists(header):
-                with open(header, encoding="utf-8", errors="replace") as f:
-                    names |= atomic_names(f.read().splitlines())
+            names = atomic_names(lines) | atomic_names(pair_lines)
             check_atomic_operators(path, lines, names, errors)
+        check_no_stat_rmw(path, lines,
+                          stat_roots(lines) | stat_roots(pair_lines), errors,
+                          allow_used)
         check_no_assert(path, lines, errors)
         check_kernel_no_alloc(path, lines, errors)
         check_kernel_no_schema_branch(path, lines, errors)
         check_stepdef_outside_lowering(path, lines, errors)
         check_avx2_target(path, lines, errors)
     check_march_native(errors)
+    for key in sorted(set(STAT_RMW_ALLOWLIST) - allow_used):
+        errors.append(
+            f"{key[0]}: STAT_RMW_ALLOWLIST entry ({key[1]}, {key[2]}) "
+            f"matches no statistics RMW — delete it")
 
     if errors:
         print(f"lint_invariants: {len(errors)} violation(s)\n")
