@@ -49,10 +49,12 @@ struct JoinSpec {
   Scheme scheme = Scheme::kPipelined;
   join::EngineOptions engine;
 
-  /// Ratio overrides, applied verbatim on every backend (empty = the
-  /// scheme decides on the sim, 1.0 on a real backend). A single value
-  /// broadcasts to every step of the series; otherwise sizes must match
-  /// (3 for a partition pass, 4 for build/probe).
+  /// Ratio overrides, applied verbatim on the sim (empty = the scheme
+  /// decides). A single value broadcasts to every step of the series;
+  /// otherwise sizes must match (3 for a partition pass, 4 for
+  /// build/probe). A real backend runs at 1.0 and rejects any override
+  /// with InvalidArgument: it has one lane, and runs each join phase as
+  /// one fused kernel.
   std::vector<double> partition_ratios;
   std::vector<double> build_ratios;
   std::vector<double> probe_ratios;
@@ -122,7 +124,9 @@ struct JoinReport {
   double lock_ns = 0.0;       ///< latch contention (excluded from estimate)
   simcl::EventLog breakdown;  ///< per-phase elapsed time
   std::vector<StepReport> steps;
-  /// The ratios applied (first partition pass / build / probe series).
+  /// The ratios applied (first partition pass / build / probe series):
+  /// one per StepDef run, so a real backend's fused build and probe
+  /// kernels report one 1.0 each.
   std::vector<double> partition_ratios;
   std::vector<double> build_ratios;
   std::vector<double> probe_ratios;

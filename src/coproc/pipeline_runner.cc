@@ -53,6 +53,12 @@ struct Driver {
     return backend->kind() != exec::BackendKind::kSim;
   }
 
+  /// Join phases run as the paper's steps on the sim, and as one fused
+  /// kernel per phase on a real backend.
+  join::Lowering lowering() const {
+    return real_execution() ? join::Lowering::kFused : join::Lowering::kSteps;
+  }
+
   /// The ratios of one series over `n` items under the plan's scheme
   /// (coproc/ratio_policy.h). On the sim, measured unit costs from previous
   /// runs overlay the analytic ones when the caller supplied a table — the
@@ -280,7 +286,7 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
     };
 
     // ---- build ----
-    std::vector<StepDef> bsteps = engine.BuildSteps();
+    std::vector<StepDef> bsteps = engine.BuildSteps(drv.lowering());
     auto bplan = drv.Plan("build", bsteps, stats, nb, spec.build_ratios);
     if (!bplan.ok()) return bplan.status();
     drv.report.build_ratios = bplan->ratios;
@@ -303,9 +309,10 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
     }
 
     // ---- probe ----
-    std::vector<StepDef> psteps = fused_agg != nullptr
-                                      ? engine.ProbeStepsFused(fused_agg)
-                                      : engine.ProbeSteps(&writer);
+    std::vector<StepDef> psteps =
+        fused_agg != nullptr
+            ? engine.ProbeStepsFused(fused_agg, drv.lowering())
+            : engine.ProbeSteps(&writer, drv.lowering());
     auto pplan = drv.Plan("probe", psteps, stats, np, spec.probe_ratios);
     if (!pplan.ok()) return pplan.status();
     drv.report.probe_ratios = pplan->ratios;
@@ -368,13 +375,14 @@ Status RunHashJoinOp(Driver& drv, const data::Relation& build,
     };
 
     // ---- join phase (build + probe) ----
-    std::vector<StepDef> bsteps = engine.BuildSteps();
+    std::vector<StepDef> bsteps = engine.BuildSteps(drv.lowering());
     auto bplan = drv.Plan("build", bsteps, stats, nb, spec.build_ratios);
     if (!bplan.ok()) return bplan.status();
     drv.report.build_ratios = bplan->ratios;
-    std::vector<StepDef> psteps = fused_agg != nullptr
-                                      ? engine.ProbeStepsFused(fused_agg)
-                                      : engine.ProbeSteps(&writer);
+    std::vector<StepDef> psteps =
+        fused_agg != nullptr
+            ? engine.ProbeStepsFused(fused_agg, drv.lowering())
+            : engine.ProbeSteps(&writer, drv.lowering());
     auto pplan = drv.Plan("probe", psteps, stats, np, spec.probe_ratios);
     if (!pplan.ok()) return pplan.status();
     drv.report.probe_ratios = pplan->ratios;
@@ -557,7 +565,7 @@ Status RunMultiwayOp(Driver& drv,
       c += writer.TakeCounts();
       return c;
     };
-    std::vector<StepDef> bsteps = beng->BuildSteps();
+    std::vector<StepDef> bsteps = beng->BuildSteps(drv.lowering());
     auto bplan = drv.Plan("build", bsteps, stats, nbk, spec.build_ratios);
     if (!bplan.ok()) return bplan.status();
     if (k == 0) drv.report.build_ratios = bplan->ratios;

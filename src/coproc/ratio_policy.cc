@@ -66,16 +66,22 @@ StatusOr<SeriesPlan> PlanSeries(const exec::Backend& backend,
                                 const cost::CommSpec& comm,
                                 const std::vector<double>& overrides,
                                 const cost::OnlineCalibrator* measured) {
-  APU_RETURN_IF_ERROR(ValidateRatioOverride(which, overrides, steps.size()));
   SeriesPlan plan;
+  if (backend.kind() != exec::BackendKind::kSim) {
+    if (!overrides.empty()) {
+      return Status::InvalidArgument(
+          std::string(which) +
+          " ratio override requires the sim backend: a real backend runs "
+          "on one lane, with each join phase as one fused kernel");
+    }
+    plan.ratios.assign(steps.size(), 1.0);
+    return plan;
+  }
+  APU_RETURN_IF_ERROR(ValidateRatioOverride(which, overrides, steps.size()));
   if (overrides.size() == 1) {
     plan.ratios.assign(steps.size(), overrides[0]);
   } else if (!overrides.empty()) {
     plan.ratios = overrides;
-  }
-  if (backend.kind() != exec::BackendKind::kSim) {
-    if (plan.ratios.empty()) plan.ratios.assign(steps.size(), 1.0);
-    return plan;
   }
   plan.costs = cost::CalibrateSeries(*backend.context(), steps, stats);
   if (measured != nullptr) plan.costs = measured->Refine(plan.costs);

@@ -7,8 +7,10 @@
 // sim backend executes. A real backend runs a step's two lanes one after
 // the other on the same workers, so a ratio only splits one span into two:
 // there, every step runs at ratio 1.0 — one CPU-lane span, an empty GPU
-// lane — and the cost model is never consulted. Ratio overrides are the
-// exception on both backends: they are validated and applied verbatim.
+// lane — and the cost model is never consulted. Ratio overrides are
+// sim-only: the sim validates and applies them verbatim; a real backend,
+// which runs each join phase as one fused kernel with no lanes to split,
+// rejects them.
 
 #ifndef APUJOIN_COPROC_RATIO_POLICY_H_
 #define APUJOIN_COPROC_RATIO_POLICY_H_
@@ -35,12 +37,13 @@ struct SeriesPlan {
   double estimated_ns = 0.0;
 };
 
-/// Picks the ratios of `steps`, a series over `n` input items. `overrides`
-/// (1 value broadcasts, else one per step, each a finite share in [0,1]) win
-/// on every backend; a bad override is InvalidArgument naming `which`.
-/// Without overrides a real backend gets 1.0 for every step, and the sim
-/// calibrates the series at `stats` (overlaying `measured` when non-null)
-/// and runs `scheme`'s optimizer (BasicUnit: DD's).
+/// Picks the ratios of `steps`, a series over `n` input items. A real
+/// backend gets 1.0 for every step, and any override is InvalidArgument
+/// naming `which`. On the sim `overrides` (1 value broadcasts, else one per
+/// step, each a finite share in [0,1]) win, and a bad one is
+/// InvalidArgument; without them the sim calibrates the series at `stats`
+/// (overlaying `measured` when non-null) and runs `scheme`'s optimizer
+/// (BasicUnit: DD's).
 apujoin::StatusOr<SeriesPlan> PlanSeries(
     const exec::Backend& backend, const char* which, Scheme scheme,
     const std::vector<join::StepDef>& steps, const cost::WorkloadStats& stats,

@@ -1,6 +1,7 @@
 #include "coproc/step_series.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "alloc/latch_model.h"
 #include "exec/sim_backend.h"
@@ -89,6 +90,38 @@ void RunOnePairSeries(exec::Backend* backend,
   result->elapsed_ns += pair.elapsed_ns;
 }
 
+/// Reports each fused kernel (StepDef::parts) as the steps it ran: one
+/// StepRun per part, carrying the kernel's items and its measured time
+/// split in proportion to the parts' laps, so the parts sum to the kernel.
+void SplitFusedSteps(const std::vector<join::StepDef>& steps,
+                     SeriesResult* result) {
+  std::vector<StepRun> runs;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    StepRun& run = result->steps[i];
+    if (steps[i].parts == nullptr) {
+      runs.push_back(std::move(run));
+      continue;
+    }
+    const std::vector<uint64_t> laps = steps[i].parts->Take();
+    double total = 0.0;
+    for (uint64_t ns : laps) total += static_cast<double>(ns);
+    for (size_t k = 0; k < laps.size(); ++k) {
+      const double share =
+          total > 0.0 ? static_cast<double>(laps[k]) / total
+                      : 1.0 / static_cast<double>(laps.size());
+      StepRun part;
+      part.name = steps[i].parts->names()[k];
+      part.ratio = run.ratio;
+      for (int d = 0; d < simcl::kNumDevices; ++d) {
+        part.stats.items[d] = run.stats.items[d];
+        part.stats.time[d].compute_ns = run.stats.time[d].TotalNs() * share;
+      }
+      runs.push_back(std::move(part));
+    }
+  }
+  result->steps = std::move(runs);
+}
+
 void InitSeriesResult(const std::vector<join::StepDef>& steps,
                       const std::vector<double>& ratios,
                       SeriesResult* result) {
@@ -125,6 +158,7 @@ void RunSeriesPairBlockedGroups(
                        &g.result);
     }
   }
+  for (auto& g : groups) SplitFusedSteps(*g.steps, &g.result);
 }
 
 SeriesResult RunSeries(exec::Backend* backend,
@@ -191,6 +225,7 @@ SeriesResult RunSeriesBasicUnit(exec::Backend* backend,
         n == 0 ? 0.0
                : static_cast<double>(items[0]) / static_cast<double>(n);
   }
+  SplitFusedSteps(steps, &result);
   return result;
 }
 

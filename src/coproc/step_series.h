@@ -10,6 +10,7 @@
 // There is one step loop: the pair-blocked runner. Algorithm 2 applies the
 // SHJ series to each partition pair, so a whole-range series (RunSeries) is
 // its one-pair case. BasicUnit's chunk dispatch is the other scheduler.
+// Both report a fused kernel (join::StepDef::parts) as the steps it runs.
 //
 // Every runner takes an exec::Backend*; the simcl::SimContext* overloads
 // are conveniences for sim-only callers (tests, calibration harnesses) that

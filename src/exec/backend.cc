@@ -200,10 +200,10 @@ std::unique_ptr<Backend> MakeBackend(BackendKind kind, simcl::SimContext* ctx,
   return std::make_unique<SimBackend>(ctx);
 }
 
-std::unique_ptr<Backend> MakeBackend(const ExecOptions& exec,
+std::unique_ptr<Backend> MakeBackend(const PoolOptions& pool,
                                      simcl::SimContext* ctx) {
-  if (exec.backend == BackendKind::kThreadPool) {
-    return std::make_unique<ThreadPoolBackend>(ctx, ThreadPoolOptions(exec));
+  if (pool.backend == BackendKind::kThreadPool) {
+    return std::make_unique<ThreadPoolBackend>(ctx, ThreadPoolOptions(pool));
   }
   return std::make_unique<SimBackend>(ctx);
 }

@@ -193,10 +193,10 @@ std::unique_ptr<Backend> MakeBackend(BackendKind kind, simcl::SimContext* ctx,
                                      int threads = 0,
                                      uint32_t morsel_items = 0);
 
-/// Constructs the backend an ExecOptions selects — the one-struct spelling
-/// every layer that embeds ExecOptions (EngineOptions, ServiceOptions) can
-/// forward verbatim.
-std::unique_ptr<Backend> MakeBackend(const ExecOptions& exec,
+/// Constructs the backend a PoolOptions selects — the one-struct spelling
+/// every layer that embeds it (EngineOptions, ServiceOptions) can forward
+/// verbatim.
+std::unique_ptr<Backend> MakeBackend(const PoolOptions& pool,
                                      simcl::SimContext* ctx);
 
 }  // namespace apujoin::exec

@@ -6,26 +6,31 @@
 
 namespace apujoin::exec {
 
-apujoin::Status ExecOptions::Validate() const {
+apujoin::Status PoolOptions::Validate() const {
   switch (backend) {
     case BackendKind::kSim:
     case BackendKind::kThreadPool:
       break;
     default:
       return Status::InvalidArgument(
-          "ExecOptions::backend is not a known BackendKind (" +
+          "PoolOptions::backend is not a known BackendKind (" +
           std::to_string(static_cast<int>(backend)) + ")");
   }
   if (threads > kMaxThreads) {
     return Status::InvalidArgument(
-        "ExecOptions::threads = " + std::to_string(threads) +
+        "PoolOptions::threads = " + std::to_string(threads) +
         " exceeds kMaxThreads (" + std::to_string(kMaxThreads) + ")");
   }
   if (morsel_items > static_cast<uint32_t>(kMaxMorselItems)) {
     return Status::InvalidArgument(
-        "ExecOptions::morsel_items = " + std::to_string(morsel_items) +
+        "PoolOptions::morsel_items = " + std::to_string(morsel_items) +
         " exceeds kMaxMorselItems (" + std::to_string(kMaxMorselItems) + ")");
   }
+  return Status::OK();
+}
+
+apujoin::Status ExecOptions::Validate() const {
+  APU_RETURN_IF_ERROR(PoolOptions::Validate());
   switch (layout) {
     case HashLayout::kChained:
     case HashLayout::kOpenAddressing:

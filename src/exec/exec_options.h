@@ -4,11 +4,12 @@
 // granularity, hash layout, streaming policy, fusion policy) were duplicated
 // across join::EngineOptions, service::ServiceOptions and
 // exec::ThreadPoolOptions, each copy with its own ad-hoc range checks.
-// Now every layer embeds (EngineOptions, ThreadPoolOptions inherit;
-// ServiceOptions holds a member) this struct, and Validate() is the single
-// place the ranges are enforced — entry points (ExecutePlan, the join
-// service) call it and surface InvalidArgument instead of asserting or
-// silently clamping.
+// Now the pool-sizing knobs are one struct, PoolOptions, which a service
+// and a thread pool take as is; ExecOptions adds the knobs a join runs
+// with, and join::EngineOptions inherits it. Validate() is the single place
+// the ranges are enforced — entry points (ExecutePlan, the join service)
+// call it and surface InvalidArgument instead of asserting or silently
+// clamping.
 
 #ifndef APUJOIN_EXEC_EXEC_OPTIONS_H_
 #define APUJOIN_EXEC_EXEC_OPTIONS_H_
@@ -20,9 +21,9 @@
 
 namespace apujoin::exec {
 
-/// Execution-substrate selection and scheduling knobs shared by every layer
-/// that runs step kernels.
-struct ExecOptions {
+/// The knobs that size a pool of workers: the substrate and, for a thread
+/// pool, its worker count and morsel granularity.
+struct PoolOptions {
   /// Substrate the driver schedules steps onto: the analytic simulator
   /// (virtual time) or a real host thread pool (wall-clock time).
   BackendKind backend = BackendKind::kSim;
@@ -33,6 +34,16 @@ struct ExecOptions {
   /// scheduling knob: the sim backend prices whole device slices and its
   /// virtual-time output is identical for every morsel size.
   uint32_t morsel_items = 0;
+
+  /// Range-checks the backend kind (which may have been cast from an
+  /// untrusted integer), the worker count and the morsel bound. Returns
+  /// InvalidArgument naming the offending field.
+  apujoin::Status Validate() const;
+};
+
+/// Execution-substrate selection and scheduling knobs shared by every layer
+/// that runs step kernels: the pool's, plus how a join runs on it.
+struct ExecOptions : PoolOptions {
   /// Hash-table layout (--layout=chained|open). Chained is the paper's
   /// pointer-linked design and the default — every sim-backend figure is
   /// bit-identical under it.
@@ -50,7 +61,7 @@ struct ExecOptions {
   /// the intermediate copy. Single-operator plans are identical either way.
   FuseMode fuse = FuseMode::kAuto;
 
-  /// Range-checks every knob (worker count, morsel and prefetch bounds,
+  /// Range-checks every knob (PoolOptions::Validate, the prefetch bound,
   /// enum values that may have been cast from untrusted integers). Returns
   /// InvalidArgument naming the offending field.
   apujoin::Status Validate() const;

@@ -56,17 +56,15 @@ inline constexpr int kMaxThreads = 4096;
 /// Default morsel granularity (items per shared-cursor claim).
 inline constexpr uint32_t kDefaultMorselItems = 256;
 
-/// Pool construction knobs — the shared ExecOptions struct, so pools are
-/// configured with the exact fields EngineOptions/ServiceOptions carry.
-/// The pool consumes `threads` (worker count including the calling thread;
-/// zero/negative normalize to hardware concurrency, values above
-/// kMaxThreads are capped) and `morsel_items` (0 = kDefaultMorselItems,
-/// values above kMaxMorselItems are clamped); the remaining knobs ride
-/// along untouched for callers constructing a pool straight from an
-/// ExecOptions.
-struct ThreadPoolOptions : ExecOptions {
+/// Pool construction knobs — the shared PoolOptions struct, so pools are
+/// configured with the exact fields EngineOptions/ServiceOptions carry:
+/// `threads` (worker count including the calling thread; zero/negative
+/// normalize to hardware concurrency, values above kMaxThreads are capped)
+/// and `morsel_items` (0 = kDefaultMorselItems, values above
+/// kMaxMorselItems are clamped).
+struct ThreadPoolOptions : PoolOptions {
   ThreadPoolOptions() { backend = BackendKind::kThreadPool; }
-  explicit ThreadPoolOptions(const ExecOptions& exec) : ExecOptions(exec) {
+  explicit ThreadPoolOptions(const PoolOptions& pool) : PoolOptions(pool) {
     backend = BackendKind::kThreadPool;
   }
   /// Shorthand for the two knobs the pool actually consumes.

@@ -100,6 +100,7 @@ std::vector<StepDef> GroupByEngine::Steps() {
 
 std::vector<GroupRow> GroupByEngine::Materialize() const {
   std::vector<GroupRow> rows;
+  rows.reserve(num_groups());
   for (size_t i = 0; i < keys_.size(); ++i) {
     // relaxed: the series completed; the table is quiescent.
     const uint64_t c = counts_[i].load(std::memory_order_relaxed);
@@ -113,8 +114,20 @@ std::vector<GroupRow> GroupByEngine::Materialize() const {
                   : values_[i].load(std::memory_order_relaxed);
     rows.push_back(r);
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const GroupRow& a, const GroupRow& b) { return a.key < b.key; });
+  // LSD radix sort by key, 8 bits a pass. Flipping the sign bit orders
+  // int32 keys as unsigned words; each key is one group, so the order is
+  // total.
+  std::vector<GroupRow> sorted(rows.size());
+  for (uint32_t shift = 0; shift < 32; shift += 8) {
+    const auto digit = [shift](const GroupRow& r) {
+      return ((static_cast<uint32_t>(r.key) ^ 0x80000000u) >> shift) & 0xffu;
+    };
+    size_t start[257] = {};
+    for (const GroupRow& r : rows) ++start[digit(r) + 1];
+    for (size_t d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (const GroupRow& r : rows) sorted[start[digit(r)]++] = r;
+    rows.swap(sorted);
+  }
   return rows;
 }
 

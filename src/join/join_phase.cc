@@ -1,7 +1,10 @@
 #include "join/join_phase.h"
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 
 #include "join/groupby_engine.h"
@@ -112,17 +115,6 @@ std::unique_ptr<NodePools> MakeJoinPools(uint64_t build_tuples,
                                      opts.block_bytes, wide);
 }
 
-void JoinPhase::Resize(uint64_t build_items, uint64_t probe_items) {
-  r_hash_.resize(build_items);
-  r_bucket_.resize(build_items);
-  r_keynode_.resize(build_items);
-  s_hash_.resize(probe_items);
-  s_bucket_.resize(probe_items);
-  s_keynode_.resize(probe_items);
-  s_count_.resize(probe_items);
-  perm_.clear();
-}
-
 void JoinPhase::MakeTables(const std::vector<uint32_t>& buckets,
                            NodePools* pools, bool wide) {
   chained_ = {};
@@ -167,20 +159,221 @@ auto JoinPhase::Dispatch(bool wide, Fn&& fn) {
               : fn(static_cast<HashTable*>(nullptr), std::false_type{});
 }
 
-std::vector<StepDef> JoinPhase::BuildSteps(const PhaseInput& r) {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Items per block of a fused kernel: the length of its register arrays.
+constexpr uint64_t kFusedBlock = 256;
+
+/// Where item i's registers live: at index i - base of the columns. The
+/// kSteps lowering passes its whole-series arrays (base 0), a fused kernel
+/// one block's stack arrays (base = the block's first item).
+struct Regs {
+  uint32_t* hashes = nullptr;
+  uint32_t* buckets = nullptr;
+  int32_t* keynodes = nullptr;  // key nodes or slot ids
+  int32_t* counts = nullptr;    // p2 workload estimates (probe only)
+  uint64_t base = 0;
+
+  uint32_t& hash(uint64_t i) const { return hashes[i - base]; }
+  uint32_t& bucket(uint64_t i) const { return buckets[i - base]; }
+  int32_t& keynode(uint64_t i) const { return keynodes[i - base]; }
+  int32_t& count(uint64_t i) const { return counts[i - base]; }
+};
+
+/// The step bodies over one side of the join phase, each written once and
+/// called by both lowerings. A body runs its step over items [m.begin,
+/// m.end) in ascending order. `perm` (the sim's probe grouping; null =
+/// identity) reorders p3 and p4.
+template <class Table, bool kWide>
+struct StepBodies {
+  TableSelector<Table> sel;
+  PhaseInput in;
+  uint32_t dist;  // prefetch lookahead
+  std::atomic<bool>* overflowed;
+
+  /// A fused-select dead lane: never hashed, looked up or inserted.
+  bool Dead(uint64_t i) const {
+    return in.filter != nullptr && in.filter[i] == 0;
+  }
+
+  /// b1 / p1. Dead lanes are not hashed: b2..b4 and p2..p4 check the
+  /// filter before reading the hash or bucket.
+  uint64_t Hash(const Morsel& m, uint32_t* lw, const Regs& r) const {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      if (Dead(i)) continue;
+      r.hash(i) = HashKeyAt<kWide>(in.key, i);
+    }
+    return ConstantWork(lw, m);
+  }
+
+  /// b2.
+  uint64_t BuildHeader(const Morsel& m, DeviceId dev, uint32_t* lw,
+                       const Regs& r) const {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      if (Dead(i)) continue;
+      Table* t = sel.For(i, dev);
+      r.bucket(i) = t->BucketOf(r.hash(i) >> in.shift);
+      t->VisitHeader(r.bucket(i));
+    }
+    return ConstantWork(lw, m);
+  }
+
+  /// b3.
+  uint64_t AddKey(const Morsel& m, DeviceId dev, uint32_t* lw,
+                  const Regs& r) const {
+    uint64_t total = 0;
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      if (dist != 0 && i + dist < m.end) {
+        sel.For(i + dist, dev)->PrefetchBucket(r.bucket(i + dist));
+      }
+      uint32_t work = 0;
+      if (Dead(i)) {
+        r.keynode(i) = kNil;  // never inserted
+      } else {
+        r.keynode(i) = sel.For(i, dev)->template FindOrAdd<kWide>(
+            r.bucket(i), in.key.lo[i], HiWordAt<kWide>(in.key, i), dev,
+            WorkgroupOf(i), &work);
+        if (r.keynode(i) == kNil) {
+          // relaxed: sticky flag, read after the span barrier.
+          overflowed->store(true, std::memory_order_relaxed);
+        }
+      }
+      total += RecordWork(lw, m, i, work);
+    }
+    return total;
+  }
+
+  /// b4.
+  uint64_t LinkRid(const Morsel& m, DeviceId dev, uint32_t* lw,
+                   const Regs& r) const {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      const int32_t node = r.keynode(i);
+      if (node == kNil) continue;
+      Table* t = sel.Holding(i, dev, node);
+      if (!t->InsertRid(node, in.rids[i], dev, WorkgroupOf(i))) {
+        // relaxed: sticky flag, read after the span barrier.
+        overflowed->store(true, std::memory_order_relaxed);
+        continue;
+      }
+      t->BumpCount(r.bucket(i));
+    }
+    return ConstantWork(lw, m);
+  }
+
+  /// p2.
+  uint64_t ProbeHeader(const Morsel& m, uint32_t* lw, const Regs& r) const {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      if (Dead(i)) {
+        r.count(i) = 0;  // the grouping sort reads every lane's estimate
+        continue;
+      }
+      Table* t = sel.Home(i);
+      r.bucket(i) = t->BucketOf(r.hash(i) >> in.shift);
+      int32_t count = 0;
+      t->VisitHeader(r.bucket(i), &count);
+      r.count(i) = count;
+    }
+    return ConstantWork(lw, m);
+  }
+
+  /// p3.
+  uint64_t LookUp(const Morsel& m, uint32_t* lw, const Regs& r,
+                  const uint32_t* perm) const {
+    uint64_t total = 0;
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      const uint64_t j = perm != nullptr ? perm[i] : i;
+      if (dist != 0 && i + dist < m.end) {
+        const uint64_t jn = perm != nullptr ? perm[i + dist] : i + dist;
+        sel.Home(jn)->PrefetchBucket(r.bucket(jn));
+      }
+      uint32_t work = 0;
+      if (Dead(j)) {
+        r.keynode(j) = kNil;  // no lookup
+      } else {
+        r.keynode(j) = sel.Home(j)->template Find<kWide>(
+            r.bucket(j), in.key.lo[j], HiWordAt<kWide>(in.key, j), &work);
+      }
+      total += RecordWork(lw, m, i, work);
+    }
+    return total;
+  }
+
+  /// p4 / p4g: hands every match to
+  /// `visit(probe key, build rid, probe rid, dev, workgroup)`.
+  template <class Visit>
+  uint64_t Match(const Morsel& m, DeviceId dev, uint32_t* lw, const Regs& r,
+                 const uint32_t* perm, const Visit& visit) const {
+    uint64_t total = 0;
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      const uint64_t j = perm != nullptr ? perm[i] : i;
+      uint32_t work = 1;
+      if (r.keynode(j) != kNil) {
+        const int32_t skey = in.emit_keys[j];
+        const int32_t srid = in.rids[j];
+        const uint32_t wg = WorkgroupOf(i);
+        work += sel.Home(j)->ForEachRid(
+            r.keynode(j), [&visit, skey, srid, dev, wg](int32_t brid) {
+              visit(skey, brid, srid, dev, wg);
+            });
+      }
+      total += RecordWork(lw, m, i, work);
+    }
+    return total;
+  }
+};
+
+/// A fused kernel's morsel: runs `body...` — each a
+/// `(const Morsel& block, const Regs&) -> work` — back to back over blocks
+/// of at most kFusedBlock items, with the registers in block-local arrays.
+/// The clock is read before the first body of a block and after each one;
+/// the laps go to `clock` once per morsel.
+template <class... Body>
+uint64_t RunFused(const Morsel& m, PartClock* clock, const Body&... body) {
+  // Zeroed once per morsel: b3 and p3 prefetch the buckets of dead lanes,
+  // which b2 and p2 never write.
+  uint32_t hashes[kFusedBlock] = {};
+  uint32_t buckets[kFusedBlock] = {};
+  int32_t keynodes[kFusedBlock] = {};
+  int32_t counts[kFusedBlock] = {};
+  uint64_t laps[sizeof...(Body)] = {};
+  uint64_t work = 0;
+  for (uint64_t lo = m.begin; lo < m.end; lo += kFusedBlock) {
+    const Morsel block{lo, std::min(m.end, lo + kFusedBlock)};
+    const Regs regs{hashes, buckets, keynodes, counts, lo};
+    Clock::time_point t = Clock::now();
+    size_t k = 0;
+    const auto lap = [&] {
+      const Clock::time_point now = Clock::now();
+      laps[k++] += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - t)
+              .count());
+      t = now;
+    };
+    ((work += body(block, regs), lap()), ...);
+  }
+  clock->Add(laps);
+  return work;
+}
+
+}  // namespace
+
+std::vector<StepDef> JoinPhase::BuildSteps(const PhaseInput& r,
+                                           Lowering lowering) {
   return Dispatch(r.key.wide(), [&](auto* table, auto wide) {
     using Table = std::remove_pointer_t<decltype(table)>;
-    return BuildSeries<Table, decltype(wide)::value>(r);
+    return BuildSeries<Table, decltype(wide)::value>(r, lowering);
   });
 }
 
 std::vector<StepDef> JoinPhase::ProbeSteps(const PhaseInput& s,
-                                           ResultWriter* out) {
+                                           ResultWriter* out,
+                                           Lowering lowering) {
   return Dispatch(s.key.wide(), [&](auto* table, auto wide) {
     using Table = std::remove_pointer_t<decltype(table)>;
-    std::vector<StepDef> steps = ProbeSeries<Table, decltype(wide)::value>(s);
-    steps.push_back(MatchStep<Table>(
-        "p4", EmitProfile(s.table_bytes, opts_.locality_boost), s,
+    return ProbeSeries<Table, decltype(wide)::value>(
+        s, "p4", EmitProfile(s.table_bytes, opts_.locality_boost), lowering,
         [out](int32_t skey, int32_t brid, int32_t srid, DeviceId dev,
               uint32_t wg) {
           if (out->captures_keys()) {
@@ -188,235 +381,168 @@ std::vector<StepDef> JoinPhase::ProbeSteps(const PhaseInput& s,
           } else {
             out->Emit(brid, srid, dev, wg);
           }
-        }));
-    return steps;
+        });
   });
 }
 
 std::vector<StepDef> JoinPhase::ProbeStepsFused(const PhaseInput& s,
-                                                GroupByEngine* agg) {
+                                                GroupByEngine* agg,
+                                                Lowering lowering) {
   return Dispatch(s.key.wide(), [&](auto* table, auto wide) {
     using Table = std::remove_pointer_t<decltype(table)>;
-    std::vector<StepDef> steps = ProbeSeries<Table, decltype(wide)::value>(s);
     // The match streams into the aggregate table; the <build rid, probe
     // rid> pair is never materialized.
-    steps.push_back(MatchStep<Table>(
-        "p4g",
+    return ProbeSeries<Table, decltype(wide)::value>(
+        s, "p4g",
         FusedEmitAggProfile(s.table_bytes, agg->TableWorkingSetBytes(),
                             opts_.locality_boost),
-        s,
+        lowering,
         [agg](int32_t skey, int32_t, int32_t srid, DeviceId, uint32_t) {
           agg->Accumulate(skey, static_cast<int64_t>(srid));
-        }));
-    return steps;
+        });
   });
 }
 
-template <bool kWide>
-StepDef JoinPhase::HashStep(const char* name, const PhaseInput& in,
-                            uint32_t* hash) {
-  const KeyView k = in.key;
-  const uint8_t* f = in.filter;
-  StepDef st;
-  st.name = name;
-  st.profile = HashStepProfile(data::KeyBytes(k.schema));
-  st.items = in.items;
-  st.run = [f, k, hash](const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      // Fused-select dead lanes are never hashed (b3/p3 check the filter
-      // before reading the hash or bucket).
-      if (f != nullptr && f[i] == 0) continue;
-      hash[i] = HashKeyAt<kWide>(k, i);
-    }
-    return ConstantWork(lw, m);
-  };
-  return st;
-}
-
 template <class Table, bool kWide>
-std::vector<StepDef> JoinPhase::BuildSeries(const PhaseInput& r) {
-  using Traits = LayoutTraits<Table>;
-  const TableSelector<Table> sel = Selector<Table>(r.part_of);
-  const KeyView rk = r.key;
-  const int32_t* r_rids = r.rids;
-  const uint8_t* bf = r.filter;
-  const uint32_t shift = r.shift;
-  const uint32_t dist = opts_.prefetch_dist;
-  uint32_t* r_hash = r_hash_.data();
-  uint32_t* r_bucket = r_bucket_.data();
-  int32_t* r_keynode = r_keynode_.data();
+std::vector<StepDef> JoinPhase::BuildSeries(const PhaseInput& r,
+                                            Lowering lowering) {
+  const StepBodies<Table, kWide> b{Selector<Table>(r.part_of), r,
+                               opts_.prefetch_dist, &overflowed_};
   std::vector<StepDef> steps;
-  steps.push_back(HashStep<kWide>("b1", r, r_hash));
+  if (lowering == Lowering::kFused) {
+    StepDef st;
+    st.name = "b1..b4";
+    st.items = r.items;
+    st.parts = std::make_shared<PartClock>(
+        std::vector<std::string>{"b1", "b2", "b3", "b4"});
+    st.run = [b, clock = st.parts](const Morsel& m, DeviceId dev,
+                                   uint32_t*) -> uint64_t {
+      return RunFused(
+          m, clock.get(),
+          [&](const Morsel& k, const Regs& g) { return b.Hash(k, nullptr, g); },
+          [&](const Morsel& k, const Regs& g) {
+            return b.BuildHeader(k, dev, nullptr, g);
+          },
+          [&](const Morsel& k, const Regs& g) {
+            return b.AddKey(k, dev, nullptr, g);
+          },
+          [&](const Morsel& k, const Regs& g) {
+            return b.LinkRid(k, dev, nullptr, g);
+          });
+    };
+    steps.push_back(std::move(st));
+    return steps;
+  }
 
-  StepDef b2;
-  b2.name = "b2";
-  b2.profile = HeaderVisitProfile(r.header_bytes);
-  b2.items = r.items;
-  b2.run = [sel, bf, shift, r_hash, r_bucket](const Morsel& m, DeviceId dev,
-                                              uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (bf != nullptr && bf[i] == 0) continue;
-      Table* t = sel.For(i, dev);
-      r_bucket[i] = t->BucketOf(r_hash[i] >> shift);
-      t->VisitHeader(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
+  r_hash_.resize(r.items);
+  r_bucket_.resize(r.items);
+  r_keynode_.resize(r.items);
+  const Regs regs{r_hash_.data(), r_bucket_.data(), r_keynode_.data()};
+  steps.resize(4);
+  steps[0].name = "b1";
+  steps[0].profile = HashStepProfile(data::KeyBytes(r.key.schema));
+  steps[0].run = [b, regs](const Morsel& m, DeviceId,
+                           uint32_t* lw) -> uint64_t {
+    return b.Hash(m, lw, regs);
   };
-  steps.push_back(std::move(b2));
-
-  StepDef b3;
-  b3.name = "b3";
-  b3.profile = Traits::Insert(r.table_bytes, opts_.locality_boost);
-  b3.items = r.items;
-  b3.run = [this, sel, bf, dist, rk, r_bucket, r_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (dist != 0 && i + dist < m.end) {
-        sel.For(i + dist, dev)->PrefetchBucket(r_bucket[i + dist]);
-      }
-      uint32_t work = 0;
-      if (bf != nullptr && bf[i] == 0) {
-        r_keynode[i] = kNil;  // fused-select dead lane: never inserted
-      } else {
-        r_keynode[i] = sel.For(i, dev)->template FindOrAdd<kWide>(
-            r_bucket[i], rk.lo[i], HiWordAt<kWide>(rk, i), dev,
-            WorkgroupOf(i), &work);
-        if (r_keynode[i] == kNil) {
-          // relaxed: sticky flag, read after the span barrier.
-          overflowed_.store(true, std::memory_order_relaxed);
-        }
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
+  steps[1].name = "b2";
+  steps[1].profile = HeaderVisitProfile(r.header_bytes);
+  steps[1].run = [b, regs](const Morsel& m, DeviceId dev,
+                           uint32_t* lw) -> uint64_t {
+    return b.BuildHeader(m, dev, lw, regs);
   };
-  steps.push_back(std::move(b3));
-
-  StepDef b4;
-  b4.name = "b4";
-  b4.profile = RidInsertProfile(r.table_bytes);
-  b4.items = r.items;
-  b4.run = [this, sel, r_rids, r_bucket, r_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (r_keynode[i] == kNil) continue;
-      Table* t = sel.Holding(i, dev, r_keynode[i]);
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        // relaxed: sticky flag, read after the span barrier.
-        overflowed_.store(true, std::memory_order_relaxed);
-        continue;
-      }
-      t->BumpCount(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
+  steps[2].name = "b3";
+  steps[2].profile =
+      LayoutTraits<Table>::Insert(r.table_bytes, opts_.locality_boost);
+  steps[2].run = [b, regs](const Morsel& m, DeviceId dev,
+                           uint32_t* lw) -> uint64_t {
+    return b.AddKey(m, dev, lw, regs);
   };
-  steps.push_back(std::move(b4));
+  steps[3].name = "b4";
+  steps[3].profile = RidInsertProfile(r.table_bytes);
+  steps[3].run = [b, regs](const Morsel& m, DeviceId dev,
+                           uint32_t* lw) -> uint64_t {
+    return b.LinkRid(m, dev, lw, regs);
+  };
+  for (StepDef& st : steps) st.items = r.items;
   return steps;
 }
 
-template <class Table, bool kWide>
-std::vector<StepDef> JoinPhase::ProbeSeries(const PhaseInput& s) {
-  const TableSelector<Table> sel = Selector<Table>(s.part_of);
-  const KeyView sk = s.key;
-  const uint8_t* pf = s.filter;
-  const uint32_t shift = s.shift;
-  const uint32_t dist = opts_.prefetch_dist;
+template <class Table, bool kWide, class Visit>
+std::vector<StepDef> JoinPhase::ProbeSeries(const PhaseInput& s,
+                                            const char* match,
+                                            simcl::StepProfile match_profile,
+                                            Lowering lowering, Visit visit) {
+  const StepBodies<Table, kWide> b{Selector<Table>(s.part_of), s,
+                               opts_.prefetch_dist, &overflowed_};
   const uint64_t n = s.items;
-  uint32_t* s_hash = s_hash_.data();
-  uint32_t* s_bucket = s_bucket_.data();
-  int32_t* s_keynode = s_keynode_.data();
-  int32_t* s_count = s_count_.data();
   std::vector<StepDef> steps;
-  steps.push_back(HashStep<kWide>("p1", s, s_hash));
+  if (lowering == Lowering::kFused) {
+    StepDef st;
+    st.name = std::string("p1..") + match;
+    st.items = n;
+    st.parts = std::make_shared<PartClock>(
+        std::vector<std::string>{"p1", "p2", "p3", match});
+    st.run = [b, visit, clock = st.parts](const Morsel& m, DeviceId dev,
+                                          uint32_t*) -> uint64_t {
+      return RunFused(
+          m, clock.get(),
+          [&](const Morsel& k, const Regs& g) { return b.Hash(k, nullptr, g); },
+          [&](const Morsel& k, const Regs& g) {
+            return b.ProbeHeader(k, nullptr, g);
+          },
+          [&](const Morsel& k, const Regs& g) {
+            return b.LookUp(k, nullptr, g, nullptr);
+          },
+          [&](const Morsel& k, const Regs& g) {
+            return b.Match(k, dev, nullptr, g, nullptr, visit);
+          });
+    };
+    steps.push_back(std::move(st));
+    return steps;
+  }
 
-  StepDef p2;
-  p2.name = "p2";
-  p2.profile = HeaderVisitProfile(s.header_bytes);
-  p2.items = n;
-  p2.run = [sel, pf, shift, s_hash, s_bucket, s_count](
-               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (pf != nullptr && pf[i] == 0) {
-        s_count[i] = 0;  // the grouping sort reads every lane's estimate
-        continue;
-      }
-      Table* t = sel.Home(i);
-      s_bucket[i] = t->BucketOf(s_hash[i] >> shift);
-      int32_t count = 0;
-      t->VisitHeader(s_bucket[i], &count);
-      s_count[i] = count;
-    }
-    return ConstantWork(lw, m);
+  s_hash_.resize(n);
+  s_bucket_.resize(n);
+  s_keynode_.resize(n);
+  s_count_.resize(n);
+  perm_.clear();
+  const Regs regs{s_hash_.data(), s_bucket_.data(), s_keynode_.data(),
+                  s_count_.data()};
+  steps.resize(4);
+  steps[0].name = "p1";
+  steps[0].profile = HashStepProfile(data::KeyBytes(s.key.schema));
+  steps[0].run = [b, regs](const Morsel& m, DeviceId,
+                           uint32_t* lw) -> uint64_t {
+    return b.Hash(m, lw, regs);
   };
-  p2.after = [this, n](uint64_t begin, uint64_t end) {
+  steps[1].name = "p2";
+  steps[1].profile = HeaderVisitProfile(s.header_bytes);
+  steps[1].run = [b, regs](const Morsel& m, DeviceId,
+                           uint32_t* lw) -> uint64_t {
+    return b.ProbeHeader(m, lw, regs);
+  };
+  steps[1].after = [this, n](uint64_t begin, uint64_t end) {
     if (opts_.grouping) BuildProbePermutation(begin, end, n);
   };
-  steps.push_back(std::move(p2));
-
-  StepDef p3;
-  p3.name = "p3";
-  p3.profile = LayoutTraits<Table>::Search(s.table_bytes, opts_.locality_boost);
-  p3.items = n;
-  p3.run = [this, sel, pf, dist, sk, s_bucket, s_keynode](
-               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    // The grouping permutation is built by p2's after-hook, i.e. after this
-    // StepDef was created — resolve the view per morsel, not per step.
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      if (dist != 0 && i + dist < m.end) {
-        const uint64_t jn = perm != nullptr ? perm[i + dist] : i + dist;
-        sel.Home(jn)->PrefetchBucket(s_bucket[jn]);
-      }
-      uint32_t work = 0;
-      if (pf != nullptr && pf[j] == 0) {
-        s_keynode[j] = kNil;  // fused-select dead lane: no lookup
-      } else {
-        s_keynode[j] = sel.Home(j)->template Find<kWide>(
-            s_bucket[j], sk.lo[j], HiWordAt<kWide>(sk, j), &work);
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
+  // p2's after-hook builds the grouping permutation once these StepDefs
+  // exist: p3 and p4 resolve it per morsel, not per step.
+  steps[2].name = "p3";
+  steps[2].profile =
+      LayoutTraits<Table>::Search(s.table_bytes, opts_.locality_boost);
+  steps[2].run = [this, b, regs](const Morsel& m, DeviceId,
+                                 uint32_t* lw) -> uint64_t {
+    return b.LookUp(m, lw, regs, perm_.empty() ? nullptr : perm_.data());
   };
-  steps.push_back(std::move(p3));
+  steps[3].name = match;
+  steps[3].profile = match_profile;
+  steps[3].run = [this, b, regs, visit](const Morsel& m, DeviceId dev,
+                                        uint32_t* lw) -> uint64_t {
+    return b.Match(m, dev, lw, regs, perm_.empty() ? nullptr : perm_.data(),
+                   visit);
+  };
+  for (StepDef& st : steps) st.items = n;
   return steps;
-}
-
-template <class Table, class Visit>
-StepDef JoinPhase::MatchStep(const char* name, simcl::StepProfile profile,
-                             const PhaseInput& s, Visit visit) {
-  const TableSelector<Table> sel = Selector<Table>(s.part_of);
-  const int32_t* s_keys = s.emit_keys;
-  const int32_t* s_rids = s.rids;
-  const int32_t* s_keynode = s_keynode_.data();
-  StepDef p4;
-  p4.name = name;
-  p4.profile = profile;
-  p4.items = s.items;
-  p4.run = [this, sel, visit, s_keys, s_rids, s_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t skey = s_keys[j];
-        const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
-        work += sel.Home(j)->ForEachRid(
-            s_keynode[j], [&visit, skey, srid, dev, wg](int32_t brid) {
-              visit(skey, brid, srid, dev, wg);
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
 }
 
 std::pair<uint64_t, uint64_t> JoinPhase::MergeSeparateTables(uint32_t shift) {

@@ -14,9 +14,18 @@
 //     partitioner and passes none);
 //   - the working-set and header bytes the step profiles are priced with.
 //
-// The body owns the per-tuple intermediate state (hash values, bucket ids,
-// key-node / slot ids — the "pipeline registers" between steps), the probe
-// grouping permutation and the tables; engines supply inputs and sizing.
+// Each step body is written once and serves both lowerings (steps.h):
+//   - kSteps, the sim's: one StepDef per step. The per-tuple values one
+//     step hands the next (hash values, bucket ids, key-node / slot ids —
+//     the "pipeline registers") live in arrays over the whole series,
+//     allocated when the series is built, and the probe may be reordered
+//     by the grouping permutation;
+//   - kFused, a real backend's: one StepDef per phase, whose morsel kernel
+//     runs the phase's bodies back to back over blocks of at most 256
+//     items, with the registers in block-local arrays. It allocates no
+//     per-tuple state.
+// The body owns that state and the tables; engines supply inputs and
+// sizing.
 
 #ifndef APUJOIN_JOIN_JOIN_PHASE_H_
 #define APUJOIN_JOIN_JOIN_PHASE_H_
@@ -147,18 +156,20 @@ class JoinPhase {
   JoinPhase(simcl::SimContext* ctx, const EngineOptions& opts)
       : ctx_(ctx), opts_(opts) {}
 
-  /// Sizes the per-tuple arrays.
-  void Resize(uint64_t build_items, uint64_t probe_items);
-
   /// Creates one home table per entry of `buckets` (plus GPU-private
   /// copies in separate-table mode) in the layout the options select.
   void MakeTables(const std::vector<uint32_t>& buckets, NodePools* pools,
                   bool wide);
 
-  std::vector<StepDef> BuildSteps(const PhaseInput& r);
-  std::vector<StepDef> ProbeSteps(const PhaseInput& s, ResultWriter* out);
+  /// The build phase: b1..b4, or one kernel running them (kFused).
+  std::vector<StepDef> BuildSteps(const PhaseInput& r, Lowering lowering);
+  /// The probe phase: p1..p4 emitting into `out`, or one kernel (kFused).
+  std::vector<StepDef> ProbeSteps(const PhaseInput& s, ResultWriter* out,
+                                  Lowering lowering);
+  /// The probe phase with p4g, which folds every match into `agg`, in
+  /// place of p4.
   std::vector<StepDef> ProbeStepsFused(const PhaseInput& s,
-                                       GroupByEngine* agg);
+                                       GroupByEngine* agg, Lowering lowering);
 
   /// Separate-table mode: merges every GPU-private table into its home
   /// table. Returns {keys, rids} moved.
@@ -196,17 +207,14 @@ class JoinPhase {
     return {t.home.data(), t.gpu.empty() ? nullptr : t.gpu.data(), part_of};
   }
 
-  template <bool kWide>
-  StepDef HashStep(const char* name, const PhaseInput& in, uint32_t* hash);
   template <class Table, bool kWide>
-  std::vector<StepDef> BuildSeries(const PhaseInput& r);
-  template <class Table, bool kWide>
-  std::vector<StepDef> ProbeSeries(const PhaseInput& s);
-  /// p4 / p4g: walks every match's rid list, handing
-  /// `visit(probe key, build rid, probe rid, dev, workgroup)` each match.
-  template <class Table, class Visit>
-  StepDef MatchStep(const char* name, simcl::StepProfile profile,
-                    const PhaseInput& s, Visit visit);
+  std::vector<StepDef> BuildSeries(const PhaseInput& r, Lowering lowering);
+  /// p1..p3 plus the match step `match` (p4 / p4g), which hands every
+  /// match to `visit(probe key, build rid, probe rid, dev, workgroup)`.
+  template <class Table, bool kWide, class Visit>
+  std::vector<StepDef> ProbeSeries(const PhaseInput& s, const char* match,
+                                   simcl::StepProfile match_profile,
+                                   Lowering lowering, Visit visit);
   /// Calls fn(Table*, std::bool_constant<kWide>) for the configured layout
   /// and key width — the one schema/layout dispatch.
   template <class Fn>
@@ -220,6 +228,7 @@ class JoinPhase {
   TableSet<OpenHashTable> open_;
   std::atomic<bool> overflowed_{false};  // b3/b4 may set it concurrently
 
+  // The kSteps lowering's registers, sized when its series is built.
   std::vector<uint32_t> r_hash_, s_hash_;
   std::vector<uint32_t> r_bucket_, s_bucket_;
   std::vector<int32_t> r_keynode_, s_keynode_;  // key nodes or slot ids

@@ -37,7 +37,6 @@ apujoin::Status PhjEngine::Prepare() {
   APU_RETURN_IF_ERROR(part_r_->Prepare());
   APU_RETURN_IF_ERROR(part_s_->Prepare());
   pools_ = MakeJoinPools(nb_live, opts_, data::KeyIsWide(key_schema()));
-  phase_.Resize(nb, np);
   return apujoin::Status::OK();
 }
 
@@ -121,16 +120,19 @@ PhaseInput PhjEngine::SideInput(const RadixPartitioner& part,
   return in;
 }
 
-std::vector<StepDef> PhjEngine::BuildSteps() {
-  return phase_.BuildSteps(SideInput(*part_r_, part_of_r_));
+std::vector<StepDef> PhjEngine::BuildSteps(Lowering lowering) {
+  return phase_.BuildSteps(SideInput(*part_r_, part_of_r_), lowering);
 }
 
-std::vector<StepDef> PhjEngine::ProbeSteps(ResultWriter* out) {
-  return phase_.ProbeSteps(SideInput(*part_s_, part_of_s_), out);
+std::vector<StepDef> PhjEngine::ProbeSteps(ResultWriter* out,
+                                           Lowering lowering) {
+  return phase_.ProbeSteps(SideInput(*part_s_, part_of_s_), out, lowering);
 }
 
-std::vector<StepDef> PhjEngine::ProbeStepsFused(GroupByEngine* agg) {
-  return phase_.ProbeStepsFused(SideInput(*part_s_, part_of_s_), agg);
+std::vector<StepDef> PhjEngine::ProbeStepsFused(GroupByEngine* agg,
+                                                Lowering lowering) {
+  return phase_.ProbeStepsFused(SideInput(*part_s_, part_of_s_), agg,
+                                lowering);
 }
 
 std::pair<uint64_t, uint64_t> PhjEngine::MergeSeparateTables() {

@@ -67,13 +67,17 @@ class PhjEngine {
   /// partitioners finished all passes.
   apujoin::Status PrepareJoinPhase();
 
-  std::vector<StepDef> BuildSteps();
-  std::vector<StepDef> ProbeSteps(ResultWriter* out);
+  /// The join phase's build and probe series over the partitioned
+  /// inputs (one kernel each under Lowering::kFused; see join_phase.h).
+  std::vector<StepDef> BuildSteps(Lowering lowering = Lowering::kSteps);
+  std::vector<StepDef> ProbeSteps(ResultWriter* out,
+                                  Lowering lowering = Lowering::kSteps);
 
   /// Fused HashJoin→GroupBy edges: p1..p3 plus a fused probe+aggregate
   /// step (p4g) that folds every match into `agg` instead of emitting
   /// result pairs. `agg` must be PrepareFused()-sized and outlive the run.
-  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg);
+  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg,
+                                       Lowering lowering = Lowering::kSteps);
 
   /// Separate-table mode: merge per-partition GPU tables into CPU tables.
   std::pair<uint64_t, uint64_t> MergeSeparateTables();

@@ -88,15 +88,16 @@ apujoin::Status RadixPartitioner::Prepare() {
         "wide key schema requires a key_hi column (dict-string inputs must "
         "be canonicalized by the engine before partitioning)");
   }
-  buf_a_ = *input_;  // working copy: pass 0 reads the original order
-  buf_b_.key_schema = input_->key_schema;
-  buf_b_.keys.assign(n, 0);
-  buf_b_.rids.assign(n, 0);
-  if (data::KeyIsWide(input_->key_schema)) {
-    buf_b_.key_hi.assign(n, 0);
-  }
-  cur_ = &buf_a_;
-  nxt_ = &buf_b_;
+  const auto size_output = [this, n](data::Relation* out) {
+    out->key_schema = input_->key_schema;
+    out->keys.assign(n, 0);
+    out->rids.assign(n, 0);
+    if (data::KeyIsWide(input_->key_schema)) out->key_hi.assign(n, 0);
+  };
+  size_output(&buf_a_);
+  if (plan_.passes > 1) size_output(&buf_b_);
+  cur_ = input_;
+  nxt_ = &buf_a_;
   pid_.assign(n, 0);
   dest_.assign(n, 0);
   offsets_.clear();
@@ -130,10 +131,9 @@ void RadixPartitioner::BeginPass(int pass) {
 
   // Exact per-(workgroup, partition) sub-histogram so destination regions
   // are tight (bookkeeping; the charged work happens in the n1..n3 kernels).
-  // Partition-major layout ([p * kWgSlots + w], not [w * nparts + p]): the
-  // prefix sum below becomes one linear walk, and under skew a hot
-  // partition's 64 work-group counters share a few cache lines instead of
-  // being strided nparts apart.
+  // Partition-major layout (SlotOf: a partition's 64 work-group counters
+  // are one 256-byte run, not strided nparts apart): under skew a hot
+  // partition's counters share a few cache lines.
   std::vector<uint32_t> counts(static_cast<size_t>(kWgSlots) * nparts, 0);
   // Host-side bookkeeping; the n1 kernel computes the same pid with the
   // same per-width hash.
@@ -142,7 +142,7 @@ void RadixPartitioner::BeginPass(int pass) {
     for (uint64_t i = 0; i < n; ++i) {
       if (filter != nullptr && filter[i] == 0) continue;
       const uint32_t p = HashKeyAt<decltype(wide)::value>(k, i) & mask;
-      counts[static_cast<size_t>(p) * kWgSlots + WgOf(i)]++;
+      counts[SlotOf(p, WgOf(i))]++;
     }
   };
   if (data::KeyIsWide(input_->key_schema)) {
@@ -151,7 +151,7 @@ void RadixPartitioner::BeginPass(int pass) {
     histogram(std::false_type{});
   }
   // Partition-major prefix sum: partition regions are contiguous, each
-  // ordered by claiming work group.
+  // ordered by claiming work group (w, not slot, order).
   cursor_ = std::vector<std::atomic<uint32_t>>(
       static_cast<size_t>(kWgSlots) * nparts);
   first_.assign(static_cast<size_t>(kWgSlots) * nparts, 0);
@@ -160,7 +160,7 @@ void RadixPartitioner::BeginPass(int pass) {
   for (uint32_t p = 0; p < nparts; ++p) {
     part_base[p] = running;
     for (uint32_t w = 0; w < kWgSlots; ++w) {
-      const size_t slot = static_cast<size_t>(p) * kWgSlots + w;
+      const size_t slot = SlotOf(p, w);
       first_[slot] = running;
       // relaxed: histogram phase ended at a span barrier; these stores
       // are published to scatter workers by the next span launch.
@@ -233,17 +233,15 @@ std::vector<StepDef> RadixPartitioner::PassSeries(int pass) {
       if (dist != 0 && i + dist < m.end) {
         // pid is fully populated by n1, so the upcoming cursor line is
         // known `dist` items ahead of its fetch_add.
-        __builtin_prefetch(
-            &cursor_[static_cast<size_t>(pid[i + dist]) * kWgSlots +
-                     WgOf(i + dist)],
-            1, 1);
+        __builtin_prefetch(&cursor_[SlotOf(pid[i + dist], WgOf(i + dist))],
+                           1, 1);
       }
       if (filter != nullptr && filter[i] == 0) {
         // Fused-select dead lane: no slot is claimed for it.
         total += RecordWork(lw, m, i, 0);
         continue;
       }
-      const size_t slot = static_cast<size_t>(pid[i]) * kWgSlots + WgOf(i);
+      const size_t slot = SlotOf(pid[i], WgOf(i));
       // relaxed: claimed offsets only need to be unique (RMW atomicity);
       // the scattered payload is published by the span barrier.
       dest[i] = cursor_[slot].fetch_add(1, std::memory_order_relaxed);
@@ -312,7 +310,10 @@ std::vector<StepDef> RadixPartitioner::PassSeries(int pass) {
   return steps;
 }
 
-void RadixPartitioner::EndPass(int /*pass*/) { std::swap(cur_, nxt_); }
+void RadixPartitioner::EndPass(int /*pass*/) {
+  cur_ = nxt_;
+  nxt_ = nxt_ == &buf_a_ ? &buf_b_ : &buf_a_;
+}
 
 alloc::AllocCounts RadixPartitioner::TakeCounts() { return counts_.Take(); }
 

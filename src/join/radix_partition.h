@@ -90,6 +90,14 @@ class RadixPartitioner {
   static uint32_t WgOf(uint64_t i) {
     return static_cast<uint32_t>((i >> 8) & (kWgSlots - 1));
   }
+  /// Cursor index of work group `wg`'s sub-region of partition `part`. A
+  /// partition's cursors are dealt 16 apart (a cache line of cursors), so
+  /// consecutive work groups — which concurrent workers claim as
+  /// consecutive morsels — bump cursors on different lines.
+  static size_t SlotOf(uint32_t part, uint32_t wg) {
+    return static_cast<size_t>(part) * kWgSlots + (wg % 4) * 16 + wg / 4;
+  }
+  static_assert(kWgSlots == 4 * 16, "SlotOf deals 4 rows of 16 cursors");
   /// Key columns of the current pass's input.
   KeyView CurrentKeys() const;
   /// n1..n3 of `pass`, one kernel body per key width.
@@ -104,9 +112,11 @@ class RadixPartitioner {
   const uint8_t* filter_ = nullptr;  // fused-select vector (or null)
   uint64_t live_ = 0;                // surviving tuples (see live())
 
+  // Pass outputs. Pass 0 reads the input in place; buf_b_ is sized only
+  // when a second pass needs somewhere to write.
   data::Relation buf_a_, buf_b_;
-  data::Relation* cur_ = nullptr;  // input of the current pass
-  data::Relation* nxt_ = nullptr;  // output of the current pass
+  const data::Relation* cur_ = nullptr;  // input of the current pass
+  data::Relation* nxt_ = nullptr;        // output of the current pass
 
   std::vector<uint32_t> pid_;   // per-item partition id (current pass)
   std::vector<uint32_t> dest_;  // per-item destination slot

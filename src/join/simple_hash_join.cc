@@ -30,7 +30,6 @@ apujoin::Status ShjEngine::Prepare() {
   }
   pools_ = MakeJoinPools(nb_live, opts_, wide);
   phase_.MakeTables({opts_.num_buckets}, pools_.get(), wide);
-  phase_.Resize(nb, np);
   return apujoin::Status::OK();
 }
 
@@ -75,16 +74,18 @@ PhaseInput ShjEngine::ProbeInput() const {
   return in;
 }
 
-std::vector<StepDef> ShjEngine::BuildSteps() {
-  return phase_.BuildSteps(BuildInput());
+std::vector<StepDef> ShjEngine::BuildSteps(Lowering lowering) {
+  return phase_.BuildSteps(BuildInput(), lowering);
 }
 
-std::vector<StepDef> ShjEngine::ProbeSteps(ResultWriter* out) {
-  return phase_.ProbeSteps(ProbeInput(), out);
+std::vector<StepDef> ShjEngine::ProbeSteps(ResultWriter* out,
+                                           Lowering lowering) {
+  return phase_.ProbeSteps(ProbeInput(), out, lowering);
 }
 
-std::vector<StepDef> ShjEngine::ProbeStepsFused(GroupByEngine* agg) {
-  return phase_.ProbeStepsFused(ProbeInput(), agg);
+std::vector<StepDef> ShjEngine::ProbeStepsFused(GroupByEngine* agg,
+                                                Lowering lowering) {
+  return phase_.ProbeStepsFused(ProbeInput(), agg, lowering);
 }
 
 std::pair<uint64_t, uint64_t> ShjEngine::MergeSeparateTables() {

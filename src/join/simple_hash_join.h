@@ -32,7 +32,7 @@ class ShjEngine {
   ShjEngine(simcl::SimContext* ctx, const data::Relation* build,
             const data::Relation* probe, EngineOptions opts);
 
-  /// Allocates pools, tables and intermediate arrays.
+  /// Resolves the join keys and allocates the node pools and tables.
   apujoin::Status Prepare();
 
   /// Fused Select→HashJoin edges: a positional selection vector over the
@@ -52,16 +52,19 @@ class ShjEngine {
   /// means unfiltered; set before Prepare().
   void set_build_cardinality(uint64_t n) { build_card_ = n; }
 
-  /// The build step series b1..b4 over |R| items.
-  std::vector<StepDef> BuildSteps();
+  /// The build step series b1..b4 over |R| items (one kernel under
+  /// Lowering::kFused; see join_phase.h).
+  std::vector<StepDef> BuildSteps(Lowering lowering = Lowering::kSteps);
 
   /// The probe step series p1..p4 over |S| items, emitting into `out`.
-  std::vector<StepDef> ProbeSteps(ResultWriter* out);
+  std::vector<StepDef> ProbeSteps(ResultWriter* out,
+                                  Lowering lowering = Lowering::kSteps);
 
   /// Fused HashJoin→GroupBy edges: p1..p3 plus a fused probe+aggregate
   /// step (p4g) that folds every match into `agg` instead of emitting
   /// result pairs. `agg` must be PrepareFused()-sized and outlive the run.
-  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg);
+  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg,
+                                       Lowering lowering = Lowering::kSteps);
 
   /// Separate-table mode: merge the GPU table into the CPU table after the
   /// build (the paper's merge overhead). Returns {keys, rids} moved.

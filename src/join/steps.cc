@@ -1,10 +1,33 @@
 #include "join/steps.h"
 
+#include <utility>
+
 #include "util/murmur_hash.h"
 
 namespace apujoin::join {
 
 using simcl::StepProfile;
+
+PartClock::PartClock(std::vector<std::string> names)
+    : names_(std::move(names)),
+      ns_(std::make_unique<std::atomic<uint64_t>[]>(names_.size())) {}
+
+void PartClock::Add(const uint64_t* ns) {
+  for (size_t k = 0; k < names_.size(); ++k) {
+    // relaxed: commutative sums of lap times, taken only after the spans
+    // that add them have joined their workers.
+    ns_[k].fetch_add(ns[k], std::memory_order_relaxed);
+  }
+}
+
+std::vector<uint64_t> PartClock::Take() {
+  std::vector<uint64_t> out(names_.size());
+  for (size_t k = 0; k < names_.size(); ++k) {
+    // relaxed: no span is running (see Add).
+    out[k] = ns_[k].exchange(0, std::memory_order_relaxed);
+  }
+  return out;
+}
 
 StepProfile HashStepProfile(double key_bytes) {
   StepProfile p;

@@ -18,8 +18,10 @@
 #define APUJOIN_JOIN_STEPS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,12 +63,43 @@ struct Morsel {
 using MorselKernel =
     std::function<uint64_t(const Morsel&, simcl::DeviceId, uint32_t*)>;
 
+/// How a join phase lowers onto StepDefs. kSteps is the paper's unit of
+/// co-processing and the sim's: one StepDef per fine-grained step, with
+/// per-tuple arrays carrying values from one step to the next. kFused is a
+/// real backend's: one StepDef per phase, whose morsel kernel runs the same
+/// step bodies back to back over small blocks, with the values in
+/// block-local arrays. A fused kernel has no device lanes to split.
+enum class Lowering { kSteps, kFused };
+
+/// The wall time a fused kernel spent in each step body it runs, summed
+/// over every morsel and worker since the last Take. The kernel reads the
+/// clock between bodies and adds its morsel's laps once per morsel.
+class PartClock {
+ public:
+  explicit PartClock(std::vector<std::string> names);
+
+  /// The steps, in the order the kernel runs them.
+  const std::vector<std::string>& names() const { return names_; }
+  /// Adds one morsel's laps: names().size() nanosecond counts.
+  void Add(const uint64_t* ns);
+  /// The laps added since the last call, one per name; resets them.
+  std::vector<uint64_t> Take();
+
+ private:
+  std::vector<std::string> names_;
+  std::unique_ptr<std::atomic<uint64_t>[]> ns_;
+};
+
 /// One fine-grained step of a step series.
 struct StepDef {
   std::string name;
   simcl::StepProfile profile;
   uint64_t items = 0;
   MorselKernel run;
+  /// A fused kernel's steps and their laps; null for a single step. The
+  /// series runner reports such a kernel as these steps, with its measured
+  /// time split in proportion to their laps.
+  std::shared_ptr<PartClock> parts;
   /// Optional hook run after the step completes; receives the *next* step's
   /// GPU item range [begin, end) within the current execution block (used
   /// by divergence grouping to permute only the GPU share).

@@ -43,23 +43,14 @@
 
 namespace apujoin::service {
 
-/// The service's substrate defaults: a thread pool, not the simulator —
-/// a service exists to multiplex real cores.
-inline exec::ExecOptions DefaultServiceExec() {
-  exec::ExecOptions e;
-  e.backend = exec::BackendKind::kThreadPool;
-  return e;
-}
-
 /// Service-level configuration.
 struct ServiceOptions {
-  /// Execution substrate every session's lease executes on. Only the
-  /// fields that size the shared pool are read: backend kind, pool size
-  /// (`threads`; 0 = hardware concurrency) and morsel granularity. Every
-  /// other knob a session runs with comes from its SessionOptions::spec.
-  /// The same exec::ExecOptions struct join::EngineOptions embeds,
-  /// validated in one place (ExecOptions::Validate).
-  exec::ExecOptions exec = DefaultServiceExec();
+  /// The shared pool every session's lease executes on: backend kind, pool
+  /// size (`threads`; 0 = hardware concurrency) and morsel granularity. A
+  /// thread pool by default, not the simulator — a service exists to
+  /// multiplex real cores. Every other knob a session runs with comes from
+  /// its SessionOptions::spec.
+  exec::PoolOptions exec{exec::BackendKind::kThreadPool};
   /// Admission cap on concurrently open sessions.
   int max_sessions = 8;
   /// Worker-slot quota per session; 0 = fair share, i.e.

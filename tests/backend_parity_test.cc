@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -321,41 +320,127 @@ TEST(RealPathRatioPolicy, MultiwayChainRunsEveryStepOnTheCpuLane) {
   }
 }
 
-// Overrides are the one way onto the GPU lane of a real backend, and they
-// are applied exactly as given (layout_parity_test relies on that to pin
-// b3 and b4 to opposite lanes).
-TEST(RealPathRatioPolicy, OverridesApplyVerbatim) {
+// A real backend has one lane, so every ratio override is rejected:
+// partition, build and probe alike.
+TEST(RealPathRatioPolicy, OverridesAreRejected) {
+  const data::Workload w = MakeWorkload(kCases[0]);
+  TracedPool pool;
+  for (int series = 0; series < 3; ++series) {
+    JoinSpec spec;
+    spec.algorithm = Algorithm::kPHJ;
+    spec.engine.backend = exec::BackendKind::kThreadPool;
+    std::vector<double>* ratios[] = {&spec.partition_ratios,
+                                     &spec.build_ratios, &spec.probe_ratios};
+    *ratios[series] = {1.0};
+    SCOPED_TRACE(series);
+    auto report = ExecutePlan(pool.backend.get(), MakeSingleJoinPlan(w, spec));
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The real backend's lowering: each join phase is one fused kernel, so a
+// join issues one span per phase (per partition pair under PHJ), and the
+// reports still name the paper's steps, whose times sum to those spans.
+// ---------------------------------------------------------------------------
+
+/// Sums the wall time of the launch events named `step`, and counts them.
+double EventNs(const std::vector<exec::LaunchEvent>& events,
+               const std::string& step, int* count) {
+  double ns = 0.0;
+  *count = 0;
+  for (const exec::LaunchEvent& e : events) {
+    if (e.step != step) continue;
+    ns += e.elapsed_ns;
+    ++*count;
+  }
+  return ns;
+}
+
+/// Checks that `phase`'s step reports are exactly `names`, in order, and
+/// that their times sum to the spans of the fused kernel `kernel`; returns
+/// that kernel's span count.
+int CheckFusedPhase(const JoinReport& r,
+                    const std::vector<exec::LaunchEvent>& events,
+                    const std::string& phase, const std::string& kernel,
+                    const std::vector<std::string>& names) {
+  SCOPED_TRACE(phase);
+  std::vector<std::string> got;
+  double cpu_ns = 0.0;
+  for (const StepReport& s : r.steps) {
+    if (s.phase != phase) continue;
+    got.push_back(s.name);
+    cpu_ns += s.cpu_ns;
+    EXPECT_EQ(s.gpu_ns, 0.0);
+    EXPECT_GT(s.cpu_items, 0u);
+  }
+  EXPECT_EQ(got, names);
+  int spans = 0;
+  const double span_ns = EventNs(events, kernel, &spans);
+  EXPECT_GT(span_ns, 0.0);
+  EXPECT_NEAR(cpu_ns, span_ns, 1e-9 * span_ns);
+  return spans;
+}
+
+TEST(RealPathFusedLowering, ShjIssuesOneSpanPerPhase) {
+  const data::Workload w = MakeWorkload(kCases[1]);
+  TracedPool pool;
+  JoinSpec spec;
+  spec.algorithm = Algorithm::kSHJ;
+  spec.engine.backend = exec::BackendKind::kThreadPool;
+  auto report = ExecutePlan(pool.backend.get(), MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->matches, w.expected_matches);
+  const std::vector<exec::LaunchEvent> events = pool.backend->DrainEvents();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].step, "b1..b4");
+  EXPECT_EQ(events[1].step, "p1..p4");
+  EXPECT_EQ(CheckFusedPhase(*report, events, "build", "b1..b4",
+                            {"b1", "b2", "b3", "b4"}),
+            1);
+  EXPECT_EQ(CheckFusedPhase(*report, events, "probe", "p1..p4",
+                            {"p1", "p2", "p3", "p4"}),
+            1);
+}
+
+TEST(RealPathFusedLowering, PhjIssuesTwoSpansPerPair) {
   const data::Workload w = MakeWorkload(kCases[0]);
   TracedPool pool;
   JoinSpec spec;
   spec.algorithm = Algorithm::kPHJ;
   spec.engine.backend = exec::BackendKind::kThreadPool;
-  spec.partition_ratios = {0.5};
-  spec.build_ratios = {1.0, 1.0, 1.0, 0.0};
-  spec.probe_ratios = {0.25, 0.5, 0.75, 1.0};
+  spec.engine.partitions = 8;  // 4096 uniform build keys fill every pair
   auto report = ExecutePlan(pool.backend.get(), MakeSingleJoinPlan(w, spec));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->matches, w.expected_matches);
-  EXPECT_EQ(report->estimated_ns, 0.0);
-  EXPECT_EQ(report->partition_ratios, std::vector<double>(3, 0.5));
-  EXPECT_EQ(report->build_ratios, spec.build_ratios);
-  EXPECT_EQ(report->probe_ratios, spec.probe_ratios);
-  for (const StepReport& s : report->steps) {
-    SCOPED_TRACE(s.phase + "/" + s.name);
-    // Step names carry their 1-based position: n1..n3, b1..b4, p1..p4.
-    const size_t i = static_cast<size_t>(s.name[1] - '1');
-    const std::vector<double>& want =
-        s.name[0] == 'n'   ? report->partition_ratios
-        : s.name[0] == 'b' ? spec.build_ratios
-                           : spec.probe_ratios;
-    ASSERT_LT(i, want.size());
-    EXPECT_EQ(s.ratio, want[i]);
-  }
   const std::vector<exec::LaunchEvent> events = pool.backend->DrainEvents();
-  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
-                          [](const exec::LaunchEvent& e) {
-                            return e.device == simcl::DeviceId::kGpu;
-                          }));
+  EXPECT_EQ(CheckFusedPhase(*report, events, "build", "b1..b4",
+                            {"b1", "b2", "b3", "b4"}),
+            8);
+  EXPECT_EQ(CheckFusedPhase(*report, events, "probe", "p1..p4",
+                            {"p1", "p2", "p3", "p4"}),
+            8);
+}
+
+TEST(RealPathFusedLowering, FusedGroupByProbeReportsP4g) {
+  const data::Workload w = MakeWorkload(kCases[0]);
+  PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int p = plan.graph.AddScan(&w.probe);
+  plan.graph.AddGroupBy(plan.graph.AddHashJoin(b, p), plan::AggFn::kCount);
+  plan.exec.algorithm = Algorithm::kSHJ;
+  plan.exec.engine.backend = exec::BackendKind::kThreadPool;
+  plan.expected_matches = w.expected_matches;
+  TracedPool pool;
+  auto report = ExecutePlan(pool.backend.get(), plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->matches, w.expected_matches);
+  const std::vector<exec::LaunchEvent> events = pool.backend->DrainEvents();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(CheckFusedPhase(*report, events, "probe", "p1..p4g",
+                            {"p1", "p2", "p3", "p4g"}),
+            1);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "coproc/step_series.h"
 #include "data/generator.h"
@@ -109,27 +110,39 @@ TEST_F(RadixPartitionTest, PartitionsAreHomogeneous) {
 
 TEST_F(RadixPartitionTest, MultiPassEqualsSinglePassGrouping) {
   const data::Relation rel = MakeRelation(1 << 12, 17);
-  // 256 partitions: 2 passes at fanout 16 vs 1 pass at fanout 256.
-  EngineOptions two_pass = opts_;
-  two_pass.partitions = 256;
-  two_pass.fanout_per_pass = 16;
-  EngineOptions one_pass = opts_;
-  one_pass.partitions = 256;
-  one_pass.fanout_per_pass = 256;
-
-  RadixPartitioner a(&ctx_, &rel,
-                     RadixPlan::Make(rel.size(), rel.size(), 4e6, two_pass),
-                     two_pass);
-  RadixPartitioner b(&ctx_, &rel,
-                     RadixPlan::Make(rel.size(), rel.size(), 4e6, one_pass),
-                     one_pass);
-  ASSERT_EQ(a.passes(), 2);
-  ASSERT_EQ(b.passes(), 1);
-  ASSERT_TRUE(a.Prepare().ok());
-  ASSERT_TRUE(b.Prepare().ok());
-  RunAllPasses(&ctx_, &a);
-  RunAllPasses(&ctx_, &b);
-  EXPECT_EQ(a.offsets(), b.offsets());
+  const data::Relation original = rel;
+  // 256 partitions: 1 pass at fanout 256, 2 at fanout 16, 3 at fanout 8.
+  // Pass 0 reads the input in place and the passes after it alternate
+  // between two buffers; every pass count must group each tuple alike and
+  // leave the input as it was.
+  std::vector<std::vector<std::vector<std::pair<int32_t, int32_t>>>> grouped;
+  for (const auto& [fanout, passes] :
+       std::vector<std::pair<uint32_t, int>>{{256, 1}, {16, 2}, {8, 3}}) {
+    SCOPED_TRACE(passes);
+    EngineOptions opts = opts_;
+    opts.partitions = 256;
+    opts.fanout_per_pass = fanout;
+    RadixPartitioner part(&ctx_, &rel,
+                          RadixPlan::Make(rel.size(), rel.size(), 4e6, opts),
+                          opts);
+    ASSERT_EQ(part.passes(), passes);
+    ASSERT_TRUE(part.Prepare().ok());
+    RunAllPasses(&ctx_, &part);
+    const std::vector<uint32_t>& offsets = part.offsets();
+    ASSERT_EQ(offsets.size(), 257u);
+    std::vector<std::vector<std::pair<int32_t, int32_t>>> parts(256);
+    for (uint32_t p = 0; p < 256; ++p) {
+      for (uint32_t i = offsets[p]; i < offsets[p + 1]; ++i) {
+        parts[p].emplace_back(part.output().keys[i], part.output().rids[i]);
+      }
+      std::sort(parts[p].begin(), parts[p].end());
+    }
+    grouped.push_back(std::move(parts));
+    EXPECT_EQ(rel.keys, original.keys);
+    EXPECT_EQ(rel.rids, original.rids);
+  }
+  EXPECT_EQ(grouped[1], grouped[0]);
+  EXPECT_EQ(grouped[2], grouped[0]);
 }
 
 TEST_F(RadixPartitionTest, CoProcessedSplitProducesSameResult) {

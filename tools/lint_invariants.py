@@ -43,14 +43,17 @@ Rules (over src/ unless stated otherwise):
                   calibration and the per-step reporting contract. Other
                   code receives series via the engine Steps()/ChainSteps()
                   factories and runs them through coproc.
-  kernel-no-alloc MorselKernel bodies (`.run = [...]` lambdas in step
-                  definitions) must not allocate: no new/malloc/
+  kernel-no-alloc MorselKernel bodies must not allocate: no new/malloc/
                   make_unique/make_shared and no growing container calls
                   (push_back/emplace_back/resize/reserve). Kernels run on
                   every morsel of every span; allocation there is both a
                   scalability bug (heap lock under the morsel loop) and a
                   modelling bug (unpriced work). Writers go through
                   pre-sized buffers and the alloc/ subsystem instead.
+                  A kernel body is a `.run = [...]` lambda in a step
+                  definition, a `struct ...StepBodies` (step bodies that
+                  both a step's lambda and a fused kernel call) or the
+                  fused kernel's morsel loop `RunFused`.
   kernel-no-schema-branch
                   MorselKernel bodies must not branch on the key schema at
                   runtime: no `if`/`switch` whose condition names KeySchema
@@ -65,8 +68,8 @@ Rules (over src/ unless stated otherwise):
 
   no-stat-rmw     real kernels do not pay for simulator bookkeeping: no
                   atomic read-modify-write that is a statistics counter or
-                  tally inside a MorselKernel body (`.run = [...]`) or
-                  inside the per-element functions kernels call
+                  tally inside a MorselKernel body (see kernel-no-alloc)
+                  or inside the per-element functions kernels call
                   (PER_ELEMENT_FUNCS: Allocate, the result writer's Emit
                   and Claim, FindOrAdd, InsertRid). Such an RMW puts a
                   shared cache line on every element of a real run, for a
@@ -276,6 +279,17 @@ def body_span(lines, i):
 
 
 KERNEL_LAMBDA_RE = re.compile(r"\.run\s*=\s*\[")
+# Kernel code defined outside a `.run` lambda: step bodies shared by both
+# join-phase lowerings, and the fused kernel's morsel loop.
+KERNEL_DEF_RE = re.compile(
+    r"^\s*struct\s+\w*StepBodies\b|^(?:\w+\s+)+RunFused\s*\(")
+
+
+def kernel_openers(lines):
+    """Line indexes that open a MorselKernel body."""
+    return [i for i, raw in enumerate(lines)
+            if KERNEL_LAMBDA_RE.search(strip_strings(raw))
+            or KERNEL_DEF_RE.match(strip_strings(raw))]
 
 # Tokens that identify a key-schema condition. `kWide` is deliberately NOT
 # listed: it is the bool template parameter the construction-scope dispatch
@@ -288,9 +302,7 @@ IF_CONSTEXPR_RE = re.compile(r"\bif\s+constexpr\b")
 
 
 def check_kernel_no_schema_branch(path, lines, errors):
-    for i, raw in enumerate(lines):
-        if not KERNEL_LAMBDA_RE.search(strip_strings(raw)):
-            continue
+    for i in kernel_openers(lines):
         span = body_span(lines, i)
         if span is None:
             continue
@@ -308,17 +320,15 @@ def check_kernel_no_schema_branch(path, lines, errors):
             if SCHEMA_TOKENS.search(cond):
                 errors.append(
                     f"{rel(path)}:{j + 1}: runtime branch on the key schema "
-                    f"inside a MorselKernel body (`.run = [...]` lambda "
-                    f"opened at line {i + 1}) — dispatch on KeySchema at "
+                    f"inside a MorselKernel body (opened at line "
+                    f"{i + 1}) — dispatch on KeySchema at "
                     f"StepDef construction scope (one instantiation per "
                     f"schema, `if constexpr` on a template flag), never "
                     f"per item: {lines[j].strip()}")
 
 
 def check_kernel_no_alloc(path, lines, errors):
-    for i, raw in enumerate(lines):
-        if not KERNEL_LAMBDA_RE.search(strip_strings(raw)):
-            continue
+    for i in kernel_openers(lines):
         span = body_span(lines, i)
         if span is None:
             continue
@@ -328,10 +338,9 @@ def check_kernel_no_alloc(path, lines, errors):
             if m:
                 errors.append(
                     f"{rel(path)}:{j + 1}: allocation inside a MorselKernel "
-                    f"body ('{m.group(0).strip()}' in the `.run = [...]` "
-                    f"lambda opened at line {i + 1}) — kernels must run "
-                    f"allocation-free; pre-size outside the kernel or go "
-                    f"through alloc/")
+                    f"body ('{m.group(0).strip()}' in the body opened at "
+                    f"line {i + 1}) — kernels must run allocation-free; "
+                    f"pre-size outside the kernel or go through alloc/")
 
 
 # Atomic read-modify-writes (test_and_set is a lock, not a counter).
@@ -507,8 +516,7 @@ def per_element_bodies(path, lines):
 
 
 def check_no_stat_rmw(path, lines, roots, errors, allow_used):
-    scopes = [(None, span) for i, raw in enumerate(lines)
-              if KERNEL_LAMBDA_RE.search(strip_strings(raw))
+    scopes = [(None, span) for i in kernel_openers(lines)
               for span in [body_span(lines, i)] if span is not None]
     scopes += per_element_bodies(path, lines)
     for func, span in scopes:
@@ -518,8 +526,7 @@ def check_no_stat_rmw(path, lines, roots, errors, allow_used):
                 allow_used.add(key)
                 continue
             where = (f"per-element function {func}()" if func else
-                     f"MorselKernel body (`.run = [...]` lambda opened at "
-                     f"line {span[0] + 1})")
+                     f"MorselKernel body (opened at line {span[0] + 1})")
             errors.append(
                 f"{rel(path)}:{i + 1}: statistics RMW on '{recv}' inside a "
                 f"{where} — a shared cache line per element that only the "
